@@ -13,9 +13,7 @@ void infer_shapes(Graph& graph) {
                 "graph input '" << in << "' must carry a shape before inference");
   }
   for (const NodeId id : graph.topo_order()) {
-    // Read-only node access: the non-const overload would invalidate the
-    // cached topological order we are iterating.
-    const Node& node = std::as_const(graph).node(id);
+    const Node& node = graph.node(id);
     const OpDef& def = op_def_for(node);
     const OpContext ctx(graph, node);
     std::vector<TensorDesc> outs;

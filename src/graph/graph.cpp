@@ -500,7 +500,7 @@ const Node& Graph::node(NodeId id) const {
   return nodes_[static_cast<size_t>(id)];
 }
 
-Node& Graph::node(NodeId id) {
+Node& Graph::mutable_node(NodeId id) {
   PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
   invalidate_structure();
   return nodes_[static_cast<size_t>(id)];

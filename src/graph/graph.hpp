@@ -16,11 +16,12 @@
 //     are always current;
 //   * lazy  — producer-of, the CSR consumers adjacency, node-by-name,
 //     per-type node buckets and the cached topological order are rebuilt on
-//     first query after a structural mutation (add_node, non-const node()
-//     access).  Rebuilds are serialized behind a mutex with double-checked
-//     atomic validity flags, so concurrent *const* lookups on a shared graph
-//     are safe once no thread mutates it (call warm_indices() before
-//     fanning a graph out to a thread pool to keep the hot path lock-free).
+//     first query after a structural mutation (add_node, mutable_node()).
+//     Reads never invalidate: node() is const-only.  Rebuilds are serialized
+//     behind a mutex with double-checked atomic validity flags, so concurrent
+//     *const* lookups on a shared graph are safe once no thread mutates it
+//     (call warm_indices() before fanning a graph out to a thread pool to
+//     keep the hot path lock-free).
 //
 // The pre-interning std::map-based lookup code is retained behind
 // LookupMode::kLegacyMaps purely as an A/B baseline for bench_graph_index
@@ -83,10 +84,16 @@ class Graph {
   // --- lookup -------------------------------------------------------------
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
+  /// Mutable node list that does NOT invalidate the lazy index: for
+  /// attrs-only edits (set_batch_size, instantiate_plan_graph).  A change to
+  /// a node's name, op_type, inputs or outputs made through it leaves the
+  /// index stale; renames and rewiring go through mutable_node().
   [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
+  /// Read-only node access; never touches the lazy index.
   [[nodiscard]] const Node& node(NodeId id) const;
-  /// Non-const access may rename/rewire the node: invalidates lazy indexes.
-  [[nodiscard]] Node& node(NodeId id);
+  /// Write access for renames/rewiring: invalidates the lazy index, so the
+  /// next structural query rebuilds it.
+  [[nodiscard]] Node& mutable_node(NodeId id);
   [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
 
   /// Ordered tensor table (deterministic iteration for serialization).
@@ -225,7 +232,7 @@ class Graph {
   /// Re-interns all tensor names / graph outputs after a copy.
   void rebuild_eager_tables();
   /// Interns `name` and keeps the eager id-indexed tables sized.  Const
-  /// because lazy rebuilds may intern names edited through node().
+  /// because lazy rebuilds may intern names edited through mutable_node().
   TensorId intern_name(std::string_view name) const;
   void invalidate_structure();
   /// Double-checked lazy build of the structural (edge) index.

@@ -1,20 +1,33 @@
 // Unit tests: interned-name graph index — string pool round-trips, lazy index
-// invalidation + generation protocol, and a graph-mutation fuzz asserting the
-// id-based, string-based and legacy-map lookup paths agree.
+// invalidation + generation protocol, a graph-mutation fuzz asserting the
+// id-based, string-based and legacy-map lookup paths agree, and a
+// counter-pinned bound on index builds per cold profile over the zoo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/prep_cache.hpp"
+#include "core/profiler.hpp"
 #include "graph/graph.hpp"
 #include "graph/string_pool.hpp"
+#include "models/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
 
 namespace proof {
 namespace {
+
+// Reads must never reach an invalidating accessor: node() on a mutable Graph
+// is const-only, and writes are spelled mutable_node().
+static_assert(std::is_same_v<decltype(std::declval<Graph&>().node(NodeId{})),
+                             const Node&>);
 
 /// Restores the process-wide lookup mode when a test exits (even on failure).
 struct LookupModeGuard {
@@ -123,13 +136,13 @@ TEST(GraphIndex, MutableNodeAccessInvalidates) {
   EXPECT_EQ(g.find_node("b"), 1);
   const uint64_t gen = g.index_generation();
 
-  g.node(1).name = "b_renamed";  // non-const access invalidates
+  g.mutable_node(1).name = "b_renamed";  // write access invalidates
   EXPECT_GT(g.index_generation(), gen);
   EXPECT_EQ(g.find_node("b"), kInvalidNode);
   EXPECT_EQ(g.find_node("b_renamed"), 1);
 
   // Rewiring is picked up too: route c's input straight to ta.
-  g.node(2).inputs = {"ta"};
+  g.mutable_node(2).inputs = {"ta"};
   ASSERT_EQ(g.consumers("ta").size(), 2u);
   EXPECT_TRUE(g.consumers("tb").empty());
 }
@@ -282,7 +295,7 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
       } else {
         // Rename a random node through the mutable accessor.
         const NodeId victim = static_cast<NodeId>(rng() % g.num_nodes());
-        g.node(victim).name = "renamed_" + std::to_string(fresh++);
+        g.mutable_node(victim).name = "renamed_" + std::to_string(fresh++);
       }
       if (m % 7 == 0) {
         expect_lookup_agreement(g);
@@ -294,6 +307,59 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
     expect_lookup_agreement(g);
   }
 }
+
+// --- index builds per cold profile -------------------------------------------
+
+using ColdCell = std::tuple<std::string, std::string>;  // (model, backend)
+
+std::vector<std::string> cold_profile_models() {
+  std::vector<std::string> ids;
+  for (const models::ModelSpec& spec : models::model_zoo()) {
+    ids.push_back(spec.id);
+  }
+  for (const char* extra : {"bert_base", "gpt2_decode", "llama7b_prefill"}) {
+    ids.emplace_back(extra);
+  }
+  return ids;
+}
+
+class ColdProfileIndexBuilds : public ::testing::TestWithParam<ColdCell> {};
+
+// A cold profile builds the index once for the prepared graph the backend
+// lowers and once for the AnalyzeRepresentation's copy of it.  Lowering only
+// reads its graph, so it must not force a rebuild per fusion group.
+TEST_P(ColdProfileIndexBuilds, AtMostTwoBuildsAndNoRebuilds) {
+#ifdef PROOF_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (PROOF_OBS=OFF)";
+#else
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "observability disabled in this environment";
+  }
+  const auto& [model_id, backend] = GetParam();
+  ProfileOptions opt;
+  opt.platform_id = "a100";
+  opt.backend_id = backend;
+  opt.dtype = DType::kF16;
+  opt.batch = model_id == "sd_unet" ? 2 : 4;
+  const Graph model = models::build_model(model_id);
+
+  PrepCache::instance().clear();
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
+  metrics.reset();
+  (void)Profiler(opt).run(model);
+
+  EXPECT_LE(metrics.counter("graph.index.builds").value(), 2u);
+  EXPECT_EQ(metrics.counter("graph.index.rebuilds").value(), 0u);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, ColdProfileIndexBuilds,
+    ::testing::Combine(::testing::ValuesIn(cold_profile_models()),
+                       ::testing::Values("trt_sim", "ov_sim", "ort_sim")),
+    [](const ::testing::TestParamInfo<ColdCell>& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
 
 }  // namespace
 }  // namespace proof

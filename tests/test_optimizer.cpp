@@ -275,7 +275,7 @@ auto with_jobs(unsigned jobs, F&& fn) {
 /// Zeroes the report's wall-clock fields (the same ones the golden suite
 /// normalizes) — everything else must be byte-stable.
 std::string normalize_wall_clock(std::string json) {
-  for (const std::string key :
+  for (const std::string& key :
        {std::string("\"analysis_time_s\":"),
         std::string("\"counter_profiling_time_s\":")}) {
     size_t pos = 0;
