@@ -13,9 +13,10 @@
 # the pool with index-written points, plus its own jobs-1-vs-4 byte-identity
 # test), and the shape-polymorphic AnalysisPlan cache (mixed batch sizes
 # instantiating one shared frozen plan concurrently, eviction under a
-# capacity bound, and the disabled legacy fallback).  Any data race in the
-# pool, the cache's shared PreparedEngine entries, the graphs' lazy index
-# maps, the obs shards or the daemon's session teardown fails the run.
+# capacity bound, and plan-cache clears).  The JSON parser fuzz
+# (ServeJson.ParseFuzz) rides along with the protocol suites.  Any data race
+# in the pool, the cache's shared PreparedEngine entries, the graphs' lazy
+# index maps, the obs shards or the daemon's session teardown fails the run.
 #
 # Usage: scripts/check_tsan.sh [extra gtest filter]
 set -euo pipefail

@@ -12,33 +12,30 @@
 // the analytical path (§4.2) only survives at production sweep sizes with
 // memoization.
 //
-// Two cache levels, both keyed on a structural fingerprint of the model:
-//  * plan level   (model, backend, platform, dtype):  the BuildPlan from (a)
-//    and the LayerMapping from (d) — reused across batch sizes; a 12-point
-//    batch sweep runs fusion planning and the mapping search once.
-//  * engine level (model, backend, platform, dtype, batch): the fully built
-//    PreparedEngine from (a)-(d) — reused across clock settings, metric
-//    modes and repeated runs (clock/power searches, distributed partition
-//    searches, report regeneration).
-// Shape-dependent metrics (kernel work sizes, per-node FLOP/bytes) are always
-// recomputed per batch; cached artifacts are immutable after construction and
-// shared across threads.
+// Two cache levels:
+//  * engine level (model, backend, platform, dtype, batch), keyed on the exact
+//    fingerprint: the fully built PreparedEngine from (a)-(d) — reused across
+//    clock settings, metric modes and repeated runs (clock/power searches,
+//    distributed partition searches, report regeneration).
+//  * AnalysisPlan level (model structure, backend, platform, dtype), keyed on
+//    a *shape-erased* structural fingerprint (FingerprintMode::kStructural)
+//    that hashes op types / attributes / connectivity but symbolizes batch
+//    and sequence dims.  Every cell of a sweep grid that differs only in
+//    batch or KV position — and every decode-step graph of the same LLM
+//    config at a different position — shares one frozen structure phase
+//    (fusion partition, lowering recipes, layer mapping, stream policy; see
+//    core/analysis_plan.hpp).
+// Cached artifacts are immutable after construction and shared across
+// threads.
 //
-// Disable with PROOF_PREP_CACHE=0 (or set_enabled(false)) to get the
-// build-everything-every-time behaviour; results are identical either way.
-//
-// A third, shape-polymorphic level sits behind the engine level: the
-// AnalysisPlan cache (core/analysis_plan.hpp).  It is keyed on a
-// *shape-erased* structural fingerprint (FingerprintMode::kStructural) that
-// hashes op types / attributes / connectivity but symbolizes batch and
-// sequence dims, so every cell of a sweep grid that differs only in batch or
-// KV position — and every decode-step graph of the same LLM config at a
-// different position — shares one frozen structure phase (fusion partition,
-// lowering recipes, layer mapping, stream policy).  A plan hit replaces the
-// full prepare pipeline with a cheap instantiation: one graph copy, one shape
-// inference pass, closed-form kernel re-evaluation, and a mapping replay.
-// Disable with PROOF_PLAN_CACHE=0 (or set_plan_cache_enabled(false)) for the
-// A/B legacy path; reports are byte-identical either way.
+// There are two prepare paths.  An engine miss whose structure is new runs
+// the full pipeline (build_prepared) and freezes its AnalysisPlan; an engine
+// miss whose structure is cached instantiates the plan instead — one graph
+// copy, one shape inference pass, closed-form kernel re-evaluation and a
+// mapping replay.  prepare_engine() is the same full pipeline without the
+// cache; PROOF_PREP_CACHE=0 (or set_enabled(false)) routes every call there.
+// Reports are byte-identical either way, which the golden and plan-cache
+// tests check.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +58,9 @@ class PreparedEngine {
 
   /// Tag for the plan-cache instantiation path: the engine's analysis graph
   /// was produced by instantiating a frozen AnalysisPlan and is already
-  /// validated + shape-inferred, so AR construction skips both.
+  /// validated + shape-inferred, and the instantiation already built the AR
+  /// over it (the engine's shared analysis graph), so it is adopted as is.
   struct PreInferredTag {};
-  PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in,
-                 PreInferredTag tag);
-
-  /// As above, adopting an AR the instantiation already built (over the
-  /// engine's shared analysis graph) instead of constructing one here.
   PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in,
                  AnalyzeRepresentation ar_in, PreInferredTag tag);
 
@@ -89,14 +82,12 @@ class PreparedEngine {
 struct PrepCacheStats {
   size_t engine_hits = 0;    ///< full (a)-(d) skipped
   size_t engine_misses = 0;
-  size_t plan_hits = 0;      ///< fusion planning + mapping search skipped
-  size_t plan_misses = 0;
+  size_t plan_hits = 0;      ///< engine misses served by an AnalysisPlan
+  size_t plan_misses = 0;    ///< engine misses that built a new AnalysisPlan
   size_t evictions = 0;      ///< entries dropped by the FIFO memory backstop
 
   // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed).
-  // When the plan cache is enabled its hits/misses also count into
-  // plan_hits/plan_misses above — a plan-cache hit skips the same fusion
-  // planning + mapping search the legacy exact-fingerprint level skipped.
+  // plan_cache_hits/misses equal plan_hits/plan_misses above.
   size_t plan_cache_hits = 0;        ///< frozen plan instantiated per cell
   size_t plan_cache_misses = 0;      ///< full structure phase built + frozen
   size_t plan_cache_evictions = 0;   ///< plans dropped by the FIFO backstop
@@ -182,14 +173,6 @@ class PrepCache {
   [[nodiscard]] size_t capacity() const;
   void set_capacity(size_t capacity);
 
-  /// Shape-polymorphic AnalysisPlan level.  Runtime switch; initial value
-  /// comes from PROOF_PLAN_CACHE ("0"/"false"/"off" disables).  Disabling
-  /// falls back to the legacy exact-fingerprint plan level (the seed path)
-  /// without clearing existing entries; results are byte-identical either
-  /// way — this is the A/B mode bench_plan_cache exercises.
-  void set_plan_cache_enabled(bool enabled);
-  [[nodiscard]] bool plan_cache_enabled() const;
-
   /// Ready AnalysisPlans cached right now.
   [[nodiscard]] size_t plan_cache_size() const;
 
@@ -203,7 +186,8 @@ class PrepCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Uncached preparation: the exact (a)-(d) pipeline the cache memoizes.
+/// Uncached preparation: the full (a)-(d) pipeline the cache memoizes, and
+/// the reference the cached paths are checked against.
 [[nodiscard]] std::shared_ptr<const PreparedEngine> prepare_engine(
     const Graph& model, const backends::Backend& backend,
     const hw::PlatformDesc& platform, const backends::BuildConfig& config);

@@ -23,9 +23,8 @@
 //     (call warm_indices() before fanning a graph out to a thread pool to
 //     keep the hot path lock-free).
 //
-// The pre-interning std::map-based lookup code is retained behind
-// LookupMode::kLegacyMaps purely as an A/B baseline for bench_graph_index
-// and the differential fuzz tests; the default mode never touches it.
+// There is one lookup path.  tests/test_graph_index.cpp checks it against a
+// brute-force oracle built from linear scans over nodes()/tensors().
 #pragma once
 
 #include <map>
@@ -207,23 +206,12 @@ class Graph {
   /// Skips the ~O(names) re-interning and the first-query index rebuild the
   /// plain copy constructor pays — the win the plan cache's per-cell skeleton
   /// instantiation is built on.  Safe to call concurrently from readers of a
-  /// warmed graph (all pure reads).  Under LookupMode::kLegacyMaps only the
-  /// eager tables are cloned (there is no warm structural index to keep);
-  /// interned ids are preserved in every mode.
+  /// warmed graph (all pure reads).  Interned ids are preserved.
   [[nodiscard]] Graph clone_warm() const;
 
   /// Monotonic counter bumped on every structural invalidation; lets callers
   /// detect that cached derived state (spans, topo references) went stale.
   [[nodiscard]] uint64_t index_generation() const;
-
-  /// A/B switch for bench_graph_index and the differential fuzz tests:
-  /// kLegacyMaps re-routes every lookup through the pre-interning
-  /// std::map<std::string, ...> code path (and recomputes topo_order per
-  /// call, as the seed implementation did).  Process-wide; not thread-safe
-  /// to flip while graphs are in use.  Default: kIndexed.
-  enum class LookupMode { kIndexed, kLegacyMaps };
-  static void set_lookup_mode(LookupMode mode);
-  [[nodiscard]] static LookupMode lookup_mode();
 
  private:
   struct Index;
@@ -241,12 +229,6 @@ class Graph {
   const Index& ensure_topo() const;
   void rebuild_edges(Index& ix) const;
   void rebuild_topo(Index& ix) const;
-  void rebuild_legacy(Index& ix) const;
-  std::vector<NodeId> legacy_topo_order() const;
-  [[nodiscard]] std::optional<std::vector<NodeId>> legacy_subgraph_by_io(
-      const std::vector<std::string>& input_tensors,
-      const std::vector<std::string>& output_tensors) const;
-  [[nodiscard]] Boundary legacy_boundary(const std::vector<NodeId>& node_set) const;
 
   std::string name_;
   std::vector<Node> nodes_;

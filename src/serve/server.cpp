@@ -287,9 +287,7 @@ std::string Server::stats_json() const {
   // entries are shared by every batch size / decode position of a model, so
   // hits here are whole prepare pipelines replaced by cheap instantiations.
   out << ",\"plan_cache\":{"
-      << "\"enabled\":"
-      << (PrepCache::instance().plan_cache_enabled() ? "true" : "false")
-      << ",\"entries\":" << PrepCache::instance().plan_cache_size()
+      << "\"entries\":" << PrepCache::instance().plan_cache_size()
       << ",\"capacity\":" << PrepCache::instance().plan_cache_capacity()
       << ",\"hits\":" << c.plan_cache_hits
       << ",\"misses\":" << c.plan_cache_misses

@@ -285,33 +285,38 @@ bool Session::execute_heavy(const Request& request) {
                              server_.options().default_deadline_s * 1e3);
   const Deadline deadline(deadline_ms / 1e3);
 
+  // Execution rides the shared work-stealing pool; this reader thread is
+  // not a pool participant, so a plain future wait cannot deadlock.  The
+  // task turns a failure into its error reply on the worker, so no exception
+  // object crosses threads: a shared exception's refcount lives inside
+  // libstdc++, where ThreadSanitizer cannot see it order the worker's
+  // release against this thread's what().
   bool ok = false;
-  try {
-    // Execution rides the shared work-stealing pool; this reader thread is
-    // not a pool participant, so a plain future wait cannot deadlock.
-    std::future<std::string> future = ThreadPool::global().submit([&] {
-      return execute(request, deadline);
-    });
-    const std::string result = future.get();
-    server_.release_admission();
-    set_inflight_gauge(server_.inflight_.load());
-    send_payload(make_result(request.id, result));
-    return true;
-  } catch (const DeadlineExceeded& e) {
+  bool deadline_hit = false;
+  std::future<std::string> future = ThreadPool::global().submit([&] {
+    try {
+      std::string reply = make_result(request.id, execute(request, deadline));
+      ok = true;
+      return reply;
+    } catch (const DeadlineExceeded& e) {
+      deadline_hit = true;
+      return make_error(request.id, ErrorCode::kDeadlineExceeded, e.what());
+    } catch (const ConfigError& e) {
+      return make_error(request.id, ErrorCode::kBadRequest, e.what());
+    } catch (const ModelError& e) {
+      return make_error(request.id, ErrorCode::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      return make_error(request.id, ErrorCode::kInternal, e.what());
+    }
+  });
+  const std::string reply = future.get();
+  if (deadline_hit) {
     server_.deadline_exceeded_.fetch_add(1);
     count_metric("serve.deadline_exceeded");
-    send_payload(make_error(request.id, ErrorCode::kDeadlineExceeded, e.what()));
-  } catch (const ConfigError& e) {
-    send_payload(make_error(request.id, ErrorCode::kBadRequest, e.what()));
-  } catch (const ModelError& e) {
-    send_payload(make_error(request.id, ErrorCode::kBadRequest, e.what()));
-  } catch (const Error& e) {
-    send_payload(make_error(request.id, ErrorCode::kInternal, e.what()));
-  } catch (const std::exception& e) {
-    send_payload(make_error(request.id, ErrorCode::kInternal, e.what()));
   }
   server_.release_admission();
   set_inflight_gauge(server_.inflight_.load());
+  send_payload(reply);
   return ok;
 }
 

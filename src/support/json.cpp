@@ -23,8 +23,6 @@ class Parser {
   }
 
  private:
-  static constexpr size_t kMaxDepth = 64;
-
   [[noreturn]] void fail(const std::string& what) const {
     throw ParseError("JSON parse error at byte " + std::to_string(pos_) + ": " +
                      what);

@@ -78,6 +78,10 @@ class Value {
                               bool default_value = false) const;
 };
 
+/// Deepest nesting parse() accepts: a value may sit inside at most kMaxDepth
+/// containers; deeper input throws ParseError.
+inline constexpr size_t kMaxDepth = 64;
+
 /// Parses one JSON document; trailing non-whitespace throws.  The returned
 /// tree's raw spans index into `text`, which the caller must keep alive for
 /// raw() extraction.

@@ -1,10 +1,11 @@
 // Unit tests: interned-name graph index — string pool round-trips, lazy index
 // invalidation + generation protocol, a graph-mutation fuzz asserting the
-// id-based, string-based and legacy-map lookup paths agree, and a
+// id-based and string-based lookups agree with a brute-force oracle, and a
 // counter-pinned bound on index builds per cold profile over the zoo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <tuple>
@@ -28,11 +29,6 @@ namespace {
 // is const-only, and writes are spelled mutable_node().
 static_assert(std::is_same_v<decltype(std::declval<Graph&>().node(NodeId{})),
                              const Node&>);
-
-/// Restores the process-wide lookup mode when a test exits (even on failure).
-struct LookupModeGuard {
-  ~LookupModeGuard() { Graph::set_lookup_mode(Graph::LookupMode::kIndexed); }
-};
 
 Node make_node(const std::string& name, const std::string& type,
                std::vector<std::string> in, std::vector<std::string> out) {
@@ -183,16 +179,172 @@ TEST(GraphIndex, DuplicateNodeNameSurfacesOnQuery) {
   EXPECT_THROW((void)g.find_node("same"), ModelError);
 }
 
+// --- brute-force oracle -------------------------------------------------------
+//
+// The reference the indexed lookups are checked against: every answer is a
+// linear scan over g.nodes() / g.tensors() / g.outputs(), with no interning
+// and no cached state.
+
+NodeId oracle_producer(const Graph& g, const std::string& tensor) {
+  NodeId producer = kInvalidNode;  // last node listing it as an output wins
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    const auto& outs = g.nodes()[i].outputs;
+    if (std::find(outs.begin(), outs.end(), tensor) != outs.end()) {
+      producer = static_cast<NodeId>(i);
+    }
+  }
+  return producer;
+}
+
+std::vector<NodeId> oracle_consumers(const Graph& g, const std::string& tensor) {
+  std::vector<NodeId> consumers;  // node order, one entry per use
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    for (const std::string& in : g.nodes()[i].inputs) {
+      if (in == tensor) {
+        consumers.push_back(static_cast<NodeId>(i));
+      }
+    }
+  }
+  return consumers;
+}
+
+NodeId oracle_find_node(const Graph& g, const std::string& name) {
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    if (g.nodes()[i].name == name) {
+      return static_cast<NodeId>(i);
+    }
+  }
+  return kInvalidNode;
+}
+
+bool oracle_is_param(const Graph& g, const std::string& tensor) {
+  const auto it = g.tensors().find(tensor);
+  return it != g.tensors().end() && it->second.is_param;
+}
+
+/// FIFO Kahn order, ready queue seeded in node-index order.
+std::vector<NodeId> oracle_topo(const Graph& g) {
+  const size_t n = g.num_nodes();
+  std::vector<int> in_degree(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (const std::string& in : g.nodes()[i].inputs) {
+      if (oracle_producer(g, in) != kInvalidNode) {
+        ++in_degree[i];
+      }
+    }
+  }
+  std::vector<NodeId> order;
+  for (size_t i = 0; i < n; ++i) {
+    if (in_degree[i] == 0) {
+      order.push_back(static_cast<NodeId>(i));
+    }
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (const std::string& out : g.nodes()[static_cast<size_t>(order[head])].outputs) {
+      for (const NodeId c : oracle_consumers(g, out)) {
+        if (--in_degree[static_cast<size_t>(c)] == 0) {
+          order.push_back(c);
+        }
+      }
+    }
+  }
+  return order;
+}
+
+/// Boundary inputs/params in first-seen order; outputs that leave the set.
+Graph::Boundary oracle_boundary(const Graph& g, const std::vector<NodeId>& node_set) {
+  const auto member = [&](NodeId id) {
+    return std::find(node_set.begin(), node_set.end(), id) != node_set.end();
+  };
+  const auto produced_inside = [&](const std::string& t) {
+    return std::any_of(node_set.begin(), node_set.end(), [&](NodeId id) {
+      const auto& outs = g.nodes()[static_cast<size_t>(id)].outputs;
+      return std::find(outs.begin(), outs.end(), t) != outs.end();
+    });
+  };
+  const auto contains = [](const std::vector<std::string>& v, const std::string& t) {
+    return std::find(v.begin(), v.end(), t) != v.end();
+  };
+  Graph::Boundary b;
+  for (const NodeId id : node_set) {
+    for (const std::string& in : g.nodes()[static_cast<size_t>(id)].inputs) {
+      if (produced_inside(in)) {
+        continue;
+      }
+      std::vector<std::string>& dst = oracle_is_param(g, in) ? b.params : b.inputs;
+      if (!contains(dst, in)) {
+        dst.push_back(in);
+      }
+    }
+  }
+  for (const NodeId id : node_set) {
+    for (const std::string& out : g.nodes()[static_cast<size_t>(id)].outputs) {
+      const std::vector<NodeId> consumers = oracle_consumers(g, out);
+      if (contains(g.outputs(), out) ||
+          std::any_of(consumers.begin(), consumers.end(),
+                      [&](NodeId c) { return !member(c); })) {
+        b.outputs.push_back(out);
+      }
+    }
+  }
+  return b;
+}
+
+/// Backward walk from the outputs' producers, stopping at the given inputs
+/// and at params; nullopt when the walk reaches an unlisted external tensor.
+std::optional<std::vector<NodeId>> oracle_subgraph(
+    const Graph& g, const std::vector<std::string>& inputs,
+    const std::vector<std::string>& outputs) {
+  std::vector<NodeId> visited;
+  const auto visit = [&](NodeId p) {
+    if (std::find(visited.begin(), visited.end(), p) == visited.end()) {
+      visited.push_back(p);
+    }
+  };
+  for (const std::string& out : outputs) {
+    const NodeId p = oracle_producer(g, out);
+    if (p == kInvalidNode) {
+      return std::nullopt;
+    }
+    visit(p);
+  }
+  for (size_t head = 0; head < visited.size(); ++head) {
+    for (const std::string& in : g.nodes()[static_cast<size_t>(visited[head])].inputs) {
+      if (std::find(inputs.begin(), inputs.end(), in) != inputs.end() ||
+          oracle_is_param(g, in)) {
+        continue;
+      }
+      const NodeId p = oracle_producer(g, in);
+      if (p == kInvalidNode) {
+        return std::nullopt;
+      }
+      visit(p);
+    }
+  }
+  std::sort(visited.begin(), visited.end());
+  return visited;
+}
+
 // --- graph-mutation fuzz ------------------------------------------------------
 
+/// Checks boundary() and subgraph_by_io() on one node set against the oracle.
+void expect_region_agreement(const Graph& g, const std::vector<NodeId>& node_set) {
+  const Graph::Boundary b = g.boundary(node_set);
+  const Graph::Boundary want = oracle_boundary(g, node_set);
+  EXPECT_EQ(b.inputs, want.inputs);
+  EXPECT_EQ(b.outputs, want.outputs);
+  EXPECT_EQ(b.params, want.params);
+  EXPECT_EQ(g.subgraph_by_io(want.inputs, want.outputs),
+            oracle_subgraph(g, want.inputs, want.outputs));
+}
+
 /// Asserts that the string-keyed and id-keyed lookup APIs agree on `g`, and
-/// that the indexed implementation matches the legacy std::map baseline.
-void expect_lookup_agreement(const Graph& g) {
-  // String API vs id API, in the default indexed mode.
-  Graph::set_lookup_mode(Graph::LookupMode::kIndexed);
+/// that both match the brute-force oracle.
+void expect_lookup_agreement(const Graph& g, std::mt19937& rng) {
   for (size_t i = 0; i < g.num_nodes(); ++i) {
     const Node& n = g.node(static_cast<NodeId>(i));
     ASSERT_EQ(g.find_node(n.name), static_cast<NodeId>(i));
+    ASSERT_EQ(oracle_find_node(g, n.name), static_cast<NodeId>(i));
     const auto in_ids = g.node_input_ids(static_cast<NodeId>(i));
     ASSERT_EQ(in_ids.size(), n.inputs.size());
     for (size_t k = 0; k < n.inputs.size(); ++k) {
@@ -205,69 +357,46 @@ void expect_lookup_agreement(const Graph& g) {
       EXPECT_EQ(out_ids[k], g.tensor_id(n.outputs[k]));
     }
   }
-  std::vector<std::string> tensor_names;
   for (const auto& [name, desc] : g.tensors()) {
-    tensor_names.push_back(name);
     const TensorId id = g.tensor_id(name);
     ASSERT_NE(id, kInvalidTensor) << name;
     EXPECT_EQ(g.has_tensor(name), g.has_tensor(id));
     EXPECT_EQ(&g.tensor(name), &g.tensor(id));
     EXPECT_EQ(g.producer(name), g.producer(id));
+    EXPECT_EQ(g.producer(name), oracle_producer(g, name)) << name;
     const auto by_name = g.consumers(name);
     const auto by_id = g.consumers(id);
     ASSERT_TRUE(std::equal(by_name.begin(), by_name.end(), by_id.begin(),
                            by_id.end()));
+    EXPECT_EQ(std::vector<NodeId>(by_name.begin(), by_name.end()),
+              oracle_consumers(g, name))
+        << name;
   }
+  EXPECT_EQ(g.topo_order(), oracle_topo(g));
 
-  // Indexed vs legacy baseline: snapshot under kIndexed...
-  const std::vector<NodeId> topo_indexed = g.topo_order();
-  std::vector<NodeId> producers_indexed;
-  std::vector<std::vector<NodeId>> consumers_indexed;
-  for (const std::string& name : tensor_names) {
-    producers_indexed.push_back(g.producer(name));
-    const auto c = g.consumers(name);
-    consumers_indexed.emplace_back(c.begin(), c.end());
-  }
   std::vector<NodeId> all_nodes(g.num_nodes());
   for (size_t i = 0; i < all_nodes.size(); ++i) {
     all_nodes[i] = static_cast<NodeId>(i);
   }
-  const Graph::Boundary boundary_indexed = g.boundary(all_nodes);
-  const auto subgraph_indexed =
-      g.subgraph_by_io(boundary_indexed.inputs, boundary_indexed.outputs);
-
-  // ... and compare against the legacy map implementation.
-  LookupModeGuard guard;
-  Graph::set_lookup_mode(Graph::LookupMode::kLegacyMaps);
-  EXPECT_EQ(g.topo_order(), topo_indexed);
-  for (size_t i = 0; i < tensor_names.size(); ++i) {
-    EXPECT_EQ(g.producer(tensor_names[i]), producers_indexed[i]) << tensor_names[i];
-    const auto c = g.consumers(tensor_names[i]);
-    EXPECT_TRUE(std::equal(c.begin(), c.end(), consumers_indexed[i].begin(),
-                           consumers_indexed[i].end()))
-        << tensor_names[i];
+  expect_region_agreement(g, all_nodes);
+  // A random sub-region: boundaries that cut internal edges.
+  std::vector<NodeId> subset;
+  for (const NodeId id : all_nodes) {
+    if (rng() % 2 == 0) {
+      subset.push_back(id);
+    }
   }
-  for (size_t i = 0; i < g.num_nodes(); ++i) {
-    EXPECT_EQ(g.find_node(g.node(static_cast<NodeId>(i)).name),
-              static_cast<NodeId>(i));
-  }
-  const Graph::Boundary boundary_legacy = g.boundary(all_nodes);
-  EXPECT_EQ(boundary_legacy.inputs, boundary_indexed.inputs);
-  EXPECT_EQ(boundary_legacy.outputs, boundary_indexed.outputs);
-  EXPECT_EQ(boundary_legacy.params, boundary_indexed.params);
-  const auto subgraph_legacy =
-      g.subgraph_by_io(boundary_indexed.inputs, boundary_indexed.outputs);
-  EXPECT_EQ(subgraph_legacy, subgraph_indexed);
+  expect_region_agreement(g, subset);
 }
 
 TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
-  LookupModeGuard guard;
   std::mt19937 rng(20260806);
   for (int round = 0; round < 8; ++round) {
     Graph g("fuzz_" + std::to_string(round));
     g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{8}});
     g.add_input("in");
-    std::vector<std::string> tensors = {"in"};
+    g.add_param("w", DType::kF32, Shape{8});
+    std::vector<std::string> tensors = {"in", "w"};
     int fresh = 0;
 
     const int mutations = 20 + round * 10;
@@ -287,6 +416,9 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
         const char* type = (rng() % 2 == 0) ? "Relu" : "Add";
         g.add_node(make_node(name, type, std::move(ins), {out}));
         tensors.push_back(out);
+        if (rng() % 4 == 0) {
+          g.add_output(out);  // graph outputs count as boundary outputs
+        }
       } else if (action < 8) {
         // Update a tensor desc in place (no structural change).
         g.set_tensor({.name = tensors[rng() % tensors.size()],
@@ -298,13 +430,13 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
         g.mutable_node(victim).name = "renamed_" + std::to_string(fresh++);
       }
       if (m % 7 == 0) {
-        expect_lookup_agreement(g);
+        expect_lookup_agreement(g, rng);
         if (::testing::Test::HasFatalFailure()) {
           return;
         }
       }
     }
-    expect_lookup_agreement(g);
+    expect_lookup_agreement(g, rng);
   }
 }
 

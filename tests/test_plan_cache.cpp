@@ -1,8 +1,10 @@
 // Shape-polymorphic AnalysisPlan cache (core/analysis_plan.hpp): structural
-// fingerprint properties, byte-identity of every golden with the cache on vs
-// PROOF_PLAN_CACHE=0, mutation-fuzz proof that structural rewrites invalidate
-// the plan (no stale reuse), stats/capacity behaviour, and a concurrency
-// suite (PlanCache.*) run under TSan via scripts/check_tsan.sh.
+// fingerprint properties, byte-identity of every golden (and of a batch
+// sweep) between the cached pipeline and the uncached reference
+// (PrepCache::set_enabled(false), i.e. PROOF_PREP_CACHE=0), mutation-fuzz
+// proof that structural rewrites invalidate the plan (no stale reuse),
+// stats/capacity behaviour, and a concurrency suite (PlanCache.*) run under
+// TSan via scripts/check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +22,7 @@
 #include "core/prep_cache.hpp"
 #include "core/profiler.hpp"
 #include "core/report_json.hpp"
+#include "core/sweep.hpp"
 #include "hw/platform.hpp"
 #include "models/builder.hpp"
 #include "models/zoo.hpp"
@@ -42,11 +45,10 @@ uint64_t exact_fp(const Graph& g) {
   return graph_fingerprint(g, FingerprintMode::kExact);
 }
 
-/// Fresh cache + stats with both levels enabled; every gtest case runs in its
-/// own ctest process (gtest_discover_tests), so nothing needs restoring.
-void reset_cache(bool plan_cache_on = true) {
-  PrepCache::instance().set_enabled(true);
-  PrepCache::instance().set_plan_cache_enabled(plan_cache_on);
+/// Fresh cache + stats, cached (default) or uncached — the reference pipeline
+/// every cached result is compared against.
+void reset_cache(bool cache_on = true) {
+  PrepCache::instance().set_enabled(cache_on);
   PrepCache::instance().clear();
   PrepCache::instance().reset_stats();
 }
@@ -144,7 +146,7 @@ TEST(StructuralFingerprint, ComputeGraphKeysMatchesSinglePassHashes) {
   }
 }
 
-// --- golden byte-identity: plan cache on vs PROOF_PLAN_CACHE=0 ---------------
+// --- golden byte-identity: cached vs uncached (PROOF_PREP_CACHE=0) -----------
 
 std::string golden_path(const std::string& id) {
   return std::string(PROOF_TEST_SOURCE_DIR) + "/golden/" + id + ".json";
@@ -212,20 +214,20 @@ std::string generate_decode_sweep() {
   return decode_sweep_json(sweep_decode(opt));
 }
 
-/// Runs `generate` with the plan cache on, then off (fresh cache both times),
+/// Runs `generate` through the cache, then uncached (fresh cache both times),
 /// and demands byte-identical output.  When `golden_id` is non-empty the
-/// on-path output must also match the frozen golden on disk — the cache may
+/// cached output must also match the frozen golden on disk — the cache may
 /// not even perturb the historical bytes.
 void expect_on_off_identical(const std::string& golden_id,
                              std::string (*generate)()) {
-  reset_cache(/*plan_cache_on=*/true);
+  reset_cache(/*cache_on=*/true);
   const std::string with_cache = generate();
   ASSERT_FALSE(with_cache.empty());
   const PrepCacheStats stats = PrepCache::instance().stats();
   EXPECT_GE(stats.plan_cache_misses, 1u)
-      << "plan cache enabled but never consulted — the A/B proves nothing";
+      << "plan cache never consulted — the comparison proves nothing";
 
-  reset_cache(/*plan_cache_on=*/false);
+  reset_cache(/*cache_on=*/false);
   const std::string without_cache = generate();
   EXPECT_EQ(PrepCache::instance().plan_cache_size(), 0u);
   EXPECT_EQ(PrepCache::instance().stats().plan_cache_misses, 0u);
@@ -239,7 +241,7 @@ void expect_on_off_identical(const std::string& golden_id,
     EXPECT_EQ(with_cache, frozen)
         << "plan-cache output drifted from frozen golden " << golden_id;
   }
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 class PlanCacheGolden : public ::testing::TestWithParam<const char*> {};
@@ -255,7 +257,7 @@ TEST_P(PlanCacheGolden, ReportByteIdenticalOnVsOff) {
   const std::string frozen = read_file(golden_path(model_id));
   ASSERT_FALSE(frozen.empty()) << "missing golden " << golden_path(model_id);
   EXPECT_EQ(on, frozen);
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 INSTANTIATE_TEST_SUITE_P(FourZooModels, PlanCacheGolden,
@@ -271,6 +273,36 @@ TEST(PlanCacheGoldenOptimize, ByteIdenticalOnVsOff) {
 
 TEST(PlanCacheGoldenDecodeSweep, ByteIdenticalOnVsOff) {
   expect_on_off_identical("decode_sweep_gpt2", &generate_decode_sweep);
+}
+
+/// Full-precision dump of a bert_base batch sweep — every double printed
+/// bit-faithfully, so one ULP of divergence fails the comparison.
+std::string generate_batch_sweep() {
+  ProfileOptions opt;
+  opt.platform_id = "a100";
+  opt.backend_id = "trt_sim";
+  opt.dtype = DType::kF16;
+  opt.mode = MetricMode::kPredicted;
+  const BatchSweep sweep =
+      sweep_batches(opt, models::build_model("bert_base"), {1, 4, 16, 64});
+  std::ostringstream out;
+  out.precision(17);
+  out << "optimal_batch=" << sweep.optimal_batch << "\n";
+  for (const BatchPoint& p : sweep.points) {
+    out << p.batch << " " << p.latency_s << " " << p.throughput_per_s << " "
+        << p.attained_flops << "\n";
+  }
+  return out.str();
+}
+
+TEST(PlanCacheGoldenBatchSweep, ByteIdenticalToUncached) {
+  reset_cache(true);
+  const std::string cached = generate_batch_sweep();
+  // One structure phase; every other point instantiates the frozen plan.
+  EXPECT_GE(PrepCache::instance().stats().plan_cache_hits, 3u);
+  reset_cache(false);
+  EXPECT_EQ(cached, generate_batch_sweep());
+  PrepCache::instance().set_enabled(true);
 }
 
 // --- mutation fuzz: structural rewrites must invalidate the plan -------------
@@ -308,7 +340,7 @@ void expect_invalidates(const Graph& base, const Graph& mutated) {
   reset_cache(false);
   const std::string without_cache = profile_normalized(mutated);
   EXPECT_EQ(with_cache, without_cache);
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 TEST(PlanCacheMutationFuzz, QuantizePassInvalidates) {
@@ -357,7 +389,7 @@ TEST(PlanCacheMutationFuzz, FusionToggleRewritesInvalidate) {
 
 TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
   // Positive control: the shape-only change the cache exists for must HIT and
-  // still reproduce the cache-off bytes.
+  // still reproduce the uncached bytes.
   const Graph model = proof::testing::small_cnn();
   const auto profile_at = [&](int64_t batch) {
     ProfileOptions opt;
@@ -378,9 +410,8 @@ TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
   EXPECT_EQ(stats.plan_cache_collisions, 0u);
 
   reset_cache(false);
-  (void)profile_at(2);
   EXPECT_EQ(hit_json, profile_at(4));
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 // --- concurrency + stats suite (TSan: scripts/check_tsan.sh) -----------------
@@ -427,31 +458,8 @@ TEST(PlanCache, ConcurrentMixedBatchesShareOnePlan) {
   EXPECT_EQ(stats.plan_cache_hits, batches.size() - 1);
   EXPECT_EQ(stats.plan_cache_collisions, 0u);
   EXPECT_EQ(PrepCache::instance().plan_cache_size(), 1u);
-  // Plan-cache traffic also counts into the legacy plan ledger (the hit
-  // skips the same fusion planning + mapping search).
   EXPECT_EQ(stats.plan_hits, stats.plan_cache_hits);
   EXPECT_EQ(stats.plan_misses, stats.plan_cache_misses);
-}
-
-TEST(PlanCache, DisabledFallsBackToLegacyPlanLevel) {
-  reset_cache(false);
-  const Graph model = proof::testing::small_cnn();
-  const backends::Backend& backend =
-      backends::BackendRegistry::instance().get("trt_sim");
-  const hw::PlatformDesc& platform =
-      hw::PlatformRegistry::instance().get("a100");
-  for (int64_t batch = 1; batch <= 3; ++batch) {
-    (void)PrepCache::instance().get_or_prepare(model, backend, platform,
-                                               config_for_batch(batch));
-  }
-  const PrepCacheStats stats = PrepCache::instance().stats();
-  EXPECT_EQ(stats.plan_cache_hits, 0u);
-  EXPECT_EQ(stats.plan_cache_misses, 0u);
-  EXPECT_EQ(PrepCache::instance().plan_cache_size(), 0u);
-  // The legacy exact-fingerprint plan level still dedupes batches.
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 2u);
-  PrepCache::instance().set_plan_cache_enabled(true);
 }
 
 TEST(PlanCache, CapacityBoundsPlansAndShrinksEagerly) {

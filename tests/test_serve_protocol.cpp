@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
@@ -85,6 +88,94 @@ TEST(ServeJson, DepthLimitHoldsAgainstDeepNesting) {
 TEST(ServeJson, DuplicateKeysKeepLastOccurrence) {
   const json::Value v = json::parse(R"({"a":1,"a":2})");
   EXPECT_EQ(v.get_int("a"), 2);
+}
+
+/// Parses `text`; true on success, false on json::ParseError.  Any other
+/// exception escapes and fails the calling test.  A successful parse must
+/// keep every raw span inside the input.
+bool parses(std::string_view text) {
+  json::Value v;
+  try {
+    v = json::parse(text);
+  } catch (const json::ParseError&) {
+    return false;
+  }
+  std::vector<const json::Value*> stack = {&v};
+  while (!stack.empty()) {
+    const json::Value* cur = stack.back();
+    stack.pop_back();
+    EXPECT_LE(cur->raw_begin, cur->raw_end);
+    EXPECT_LE(cur->raw_end, text.size());
+    for (const json::Value& e : cur->array) {
+      stack.push_back(&e);
+    }
+    for (const auto& member : cur->object) {
+      stack.push_back(&member.second);
+    }
+  }
+  return true;
+}
+
+std::string nested_arrays(size_t depth, const std::string& leaf) {
+  return std::string(depth, '[') + leaf + std::string(depth, ']');
+}
+
+TEST(ServeJson, ParseFuzz) {
+  const std::vector<std::string> frames = {
+      R"({"id":1,"method":"ping","params":{}})",
+      R"({"id":7,"method":"analyze","params":{"model":"resnet50","platform":"a100",)"
+      R"("backend":"trt_sim","dtype":"fp16","batch":8,"deadline_ms":2.5e3}})",
+      R"({"id":12,"method":"sweep","params":{"model":"bert_base","batches":[1,2,4,8],)"
+      R"("knee_tolerance":0.05,"stream":true}})",
+      R"({"id":-3,"method":"sweep-decode","params":{"config":"gpt2","positions":[64,256],)"
+      R"("note":"café 😀 \"q\" \\ \/ \b\f\n\r\t","extra":null,"flag":false}})",
+  };
+  std::mt19937 rng(20261017);
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(parses(frame)) << frame;
+    // Every proper prefix of an object is unterminated.
+    for (size_t len = 0; len < frame.size(); ++len) {
+      EXPECT_FALSE(parses(std::string_view(frame).substr(0, len)))
+          << frame.substr(0, len);
+    }
+    // Random byte flips: parse or typed error, never anything else.
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string mutant = frame;
+      const int flips = 1 + static_cast<int>(rng() % 3);
+      for (int f = 0; f < flips; ++f) {
+        mutant[rng() % mutant.size()] = static_cast<char>(rng() % 256);
+      }
+      (void)parses(mutant);
+    }
+  }
+
+  // Nesting: kMaxDepth containers are accepted, one more is rejected.
+  EXPECT_TRUE(parses(nested_arrays(json::kMaxDepth, "1")));
+  EXPECT_FALSE(parses(nested_arrays(json::kMaxDepth + 1, "1")));
+  std::string objects = "1";
+  for (size_t d = 0; d < json::kMaxDepth; ++d) {
+    objects = R"({"k":)" + objects + "}";
+  }
+  EXPECT_TRUE(parses(objects));
+  EXPECT_FALSE(parses("[" + objects + "]"));
+
+  // Numbers past double range are typed errors; long in-range ones parse.
+  for (const std::string& huge :
+       {std::string("1e999"), std::string("-1e999"), "1" + std::string(400, '0'),
+        "[" + std::string(400, '9') + "]"}) {
+    EXPECT_FALSE(parses(huge)) << huge;
+  }
+  EXPECT_TRUE(parses("0." + std::string(400, '1')));
+  EXPECT_TRUE(parses("123456789012345678901234567890"));
+  (void)parses("1e-999");  // underflow: either outcome is acceptable
+
+  // Malformed \u escapes, including lone and mismatched surrogates.
+  for (const char* bad :
+       {R"("\u12")", R"("\u")", R"("\uZZZZ")", R"("\u12G4")", R"("\ud800")",
+        R"("\udc00")", R"("\ud800A")", R"("\ud800\n")", R"("\ud800\ud800")",
+        R"("\udbff")", R"("\ud83d\u")", R"({"k":"\ud800"})"}) {
+    EXPECT_FALSE(parses(bad)) << bad;
+  }
 }
 
 // --- framing -----------------------------------------------------------------
