@@ -51,6 +51,14 @@ hw::ClockSetting orin_clocks(double gpu, double mem) {
   return c;
 }
 
+/// "+12.3%" for a latency ratio of 1.123.
+std::string slowdown_percent(double ratio) {
+  std::string out = "+";
+  out += units::fixed((ratio - 1.0) * 100, 1);
+  out += '%';
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -84,8 +92,7 @@ int main() {
                     tuned.power_w < 15.5;
     held += ok ? 1 : 0;
     table.add_row({std::to_string(trial), units::fixed(speedup, 2) + "x",
-                   "+" + units::fixed((mid / full - 1.0) * 100, 1) + "%",
-                   "+" + units::fixed((low / full - 1.0) * 100, 1) + "%",
+                   slowdown_percent(mid / full), slowdown_percent(low / full),
                    units::fixed(tuned.power_w, 1) + " W", ok ? "yes" : "NO"});
   }
   std::cout << table.to_string();

@@ -162,6 +162,7 @@ uint64_t graph_fingerprint(const Graph& model, FingerprintMode mode) {
 }
 
 GraphKeys compute_graph_keys(const Graph& model) {
+  PROOF_COUNT("prep_cache.fingerprints", 1);
   Fnv exact;
   Fnv structural;
   mix_graph(model, &exact, &structural);
@@ -226,6 +227,40 @@ size_t env_plan_capacity() {
   return env_capacity_or("PROOF_PLAN_CACHE_CAP", 128);
 }
 
+/// Freezes every layer's predicted work (the analytical metric mode of
+/// Profiler::run): fusion-aware Equation 1 over the layer's mapped node set;
+/// an unmapped conversion layer carries its kernels' traffic; anything else
+/// is zero.  `member_ids[i]`, when given, are layer i's mapped node ids;
+/// otherwise the mapped names are resolved in the AR's graph.  Called once
+/// the mapping is applied, so every later hit only copies the numbers.
+void freeze_layer_work(PreparedEngine& prep,
+                       const std::vector<std::vector<NodeId>>* member_ids) {
+  const std::vector<backends::BackendLayer>& layers = prep.engine.layers();
+  prep.layer_work.assign(layers.size(), PreparedEngine::LayerWork{});
+  std::vector<NodeId> resolved;
+  for (size_t i = 0; i < layers.size(); ++i) {
+    const mapping::LayerMapEntry& entry = prep.mapping.entries[i];
+    PreparedEngine::LayerWork& work = prep.layer_work[i];
+    if (!entry.model_nodes.empty()) {
+      const std::vector<NodeId>* ids = &resolved;
+      if (member_ids != nullptr) {
+        ids = &(*member_ids)[i];
+      } else {
+        resolved.clear();
+        for (const std::string& name : entry.model_nodes) {
+          resolved.push_back(prep.ar.graph().find_node(name));
+        }
+      }
+      work.flops = prep.oar.fused_flops(*ids);
+      work.bytes = prep.oar.fused_memory(*ids).total();
+    } else if (layers[i].is_reorder) {
+      for (const hw::KernelWork& k : layers[i].kernels) {
+        work.bytes += k.bytes;
+      }
+    }
+  }
+}
+
 /// The full (a)-(d) pipeline: fusion planning, lowering, AR/OAR and the
 /// mapping search.  Fills `*out_analysis_plan` (when non-null) with the frozen
 /// shape-polymorphic structure phase for AnalysisPlan publication.
@@ -251,6 +286,7 @@ std::shared_ptr<const PreparedEngine> build_prepared(
   entry->mapping_coverage = entry->mapping.node_coverage(entry->ar.num_nodes());
   entry->unmapped_layers = entry->mapping.count(mapping::MapMethod::kUnmapped);
   entry->analysis_time_s = now_s() - t0;
+  freeze_layer_work(*entry, nullptr);
 
   // Shared entries are read concurrently; materialize every lazy index now.
   warm_graph_indices(entry->engine.analysis_graph());
@@ -302,6 +338,7 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
   entry->mapping_coverage = plan.mapping_coverage;
   entry->unmapped_layers = plan.unmapped_layers;
   entry->analysis_time_s = analysis_s + (now_s() - t1);
+  freeze_layer_work(*entry, &plan.mapping_node_ids);
 
   // Engine and AR share one analysis graph here; one warm covers both (and
   // clone_warm already produced it warm — this is a cheap validity check).

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/analyze_representation.hpp"
 #include "analysis/optimized_representation.hpp"
@@ -77,6 +78,18 @@ class PreparedEngine {
   /// (reported verbatim on cache hits, mirroring the paper's §4.2 overhead
   /// accounting for the work actually performed once).
   double analysis_time_s = 0.0;
+
+  /// Predicted (analytical) work of one backend layer.
+  struct LayerWork {
+    double flops = 0.0;
+    double bytes = 0.0;
+  };
+  /// Per engine layer, frozen by the cache's prepare paths once the mapping
+  /// is applied: Profiler::run's predicted metric mode copies these, so a
+  /// hit does no node-name lookups and no fused-memory walks.  Left empty by
+  /// the two constructors (callers that assemble an entry by hand fill it
+  /// themselves or do not use Profiler::run).
+  std::vector<LayerWork> layer_work;
 };
 
 struct PrepCacheStats {

@@ -107,7 +107,8 @@ class Profiler {
   /// Full pipeline on an arbitrary model graph.  `keys`, when non-null,
   /// supplies the model's precomputed cache fingerprints (see
   /// compute_graph_keys); sweeps hoist the hashing out of their inner loops
-  /// so per-cell cache lookups skip re-walking the shared model graph.
+  /// and the serve daemon's ModelPool hashes each pooled model once, so
+  /// cache lookups skip re-walking a shared model graph.
   [[nodiscard]] ProfileReport run(const Graph& model,
                                   const GraphKeys* keys = nullptr) const;
 

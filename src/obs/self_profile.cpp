@@ -8,30 +8,11 @@
 
 #include "obs/span.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace proof::obs {
 
 namespace {
-
-void append_escaped(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
-}
 
 std::string ms(double seconds) {
   std::ostringstream out;
@@ -52,7 +33,7 @@ std::string self_profile_json() {
     if (i > 0) {
       out << ',';
     }
-    append_escaped(out, snap.counters[i].first);
+    out << json::quote(snap.counters[i].first);
     out << ':' << snap.counters[i].second;
   }
   out << '}';
@@ -62,7 +43,7 @@ std::string self_profile_json() {
     if (i > 0) {
       out << ',';
     }
-    append_escaped(out, snap.gauges[i].first);
+    out << json::quote(snap.gauges[i].first);
     out << ':' << snap.gauges[i].second;
   }
   out << '}';
@@ -74,7 +55,7 @@ std::string self_profile_json() {
       out << ',';
     }
     out << "{\"name\":";
-    append_escaped(out, name);
+    out << json::quote(name);
     out << ",\"count\":" << hist.count << ",\"total_s\":" << hist.total_s()
         << ",\"mean_s\":" << hist.mean_s()
         << ",\"p50_s\":" << hist.quantile_s(0.5)

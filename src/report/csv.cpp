@@ -21,7 +21,10 @@ std::string escape(const std::string& field) {
   if (!needs_quoting(field)) {
     return field;
   }
-  return "\"" + strings::replace_all(field, "\"", "\"\"") + "\"";
+  std::string quoted = "\"";
+  quoted += strings::replace_all(field, "\"", "\"\"");
+  quoted += '"';
+  return quoted;
 }
 
 }  // namespace

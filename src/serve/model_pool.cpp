@@ -11,16 +11,22 @@ namespace proof::serve {
 
 struct ModelPool::Impl {
   std::mutex mu;
-  std::map<std::string, std::shared_future<std::shared_ptr<const Graph>>> graphs;
+  std::map<std::string, std::shared_future<std::shared_ptr<const PooledModel>>>
+      graphs;
 };
 
 ModelPool::ModelPool() : impl_(std::make_unique<Impl>()) {}
 ModelPool::~ModelPool() = default;
 
 std::shared_ptr<const Graph> ModelPool::get(const std::string& model_id) {
+  return entry(model_id)->graph;
+}
+
+std::shared_ptr<const PooledModel> ModelPool::entry(
+    const std::string& model_id) {
   Impl& state = *impl_;
-  std::promise<std::shared_ptr<const Graph>> promise;
-  std::shared_future<std::shared_ptr<const Graph>> ready;
+  std::promise<std::shared_ptr<const PooledModel>> promise;
+  std::shared_future<std::shared_ptr<const PooledModel>> ready;
   bool is_builder = false;
   {
     std::lock_guard<std::mutex> lock(state.mu);
@@ -45,7 +51,10 @@ std::shared_ptr<const Graph> ModelPool::get(const std::string& model_id) {
     // Materialize every lazy index before the graph becomes shared: all
     // subsequent concurrent lookups are pure const reads.
     graph->warm_indices();
-    std::shared_ptr<const Graph> published = std::move(graph);
+    auto model = std::make_shared<PooledModel>();
+    model->keys = compute_graph_keys(*graph);
+    model->graph = std::move(graph);
+    std::shared_ptr<const PooledModel> published = std::move(model);
     promise.set_value(published);
     return published;
   } catch (...) {

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <sstream>
 #include <thread>
 
 #include "core/decode_sweep.hpp"
+#include "core/json_writer.hpp"
+#include "core/prep_cache.hpp"
 #include "core/profiler.hpp"
 #include "core/report_json.hpp"
 #include "core/sweep.hpp"
@@ -344,8 +345,10 @@ std::string Session::do_profile(const Request& request,
   debug_sleep(p);
   deadline.check("before profiling");
 
-  const std::shared_ptr<const Graph> model = server_.models().get(model_id);
-  const ProfileReport report = Profiler(opt).run(*model);
+  // The pooled model carries its cache keys, hashed once when it was loaded.
+  const std::shared_ptr<const PooledModel> model =
+      server_.models().entry(model_id);
+  const ProfileReport report = Profiler(opt).run(*model->graph, &model->keys);
 
   if (full_report) {
     // Byte-identical to the single-shot CLI report serialization (the
@@ -353,20 +356,21 @@ std::string Session::do_profile(const Request& request,
     // break the determinism contract the goldens freeze).
     return report_to_json(report);
   }
-  std::ostringstream out;
-  out.precision(12);
-  out << "{\"model\":" << json::quote(report.model_name)
-      << ",\"platform\":" << json::quote(report.platform_name)
-      << ",\"backend\":" << json::quote(report.backend_name)
-      << ",\"batch\":" << report.options.batch
-      << ",\"dtype\":" << json::quote(dtype_name(report.options.dtype))
-      << ",\"total_latency_s\":" << report.total_latency_s
-      << ",\"throughput_per_s\":" << report.throughput_per_s()
-      << ",\"power_w\":" << report.power_w
-      << ",\"mapping_coverage\":" << report.mapping_coverage
-      << ",\"layers\":" << report.layers.size()
-      << ",\"analysis_time_s\":" << report.analysis_time_s << "}";
-  return out.str();
+  JsonWriter w(384);
+  w.begin_object();
+  w.field("model", report.model_name);
+  w.field("platform", report.platform_name);
+  w.field("backend", report.backend_name);
+  w.field("batch", report.options.batch);
+  w.field("dtype", dtype_name(report.options.dtype));
+  w.field("total_latency_s", report.total_latency_s);
+  w.field("throughput_per_s", report.throughput_per_s());
+  w.field("power_w", report.power_w);
+  w.field("mapping_coverage", report.mapping_coverage);
+  w.field("layers", static_cast<int64_t>(report.layers.size()));
+  w.field("analysis_time_s", report.analysis_time_s);
+  w.end_object();
+  return w.take();
 }
 
 std::string Session::do_sweep(const Request& request, const Deadline& deadline) {
@@ -400,22 +404,24 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
     }
   }
 
-  const std::shared_ptr<const Graph> model = server_.models().get(model_id);
+  const std::shared_ptr<const PooledModel> model =
+      server_.models().entry(model_id);
 
   // Points run one at a time with a cancellation check between them — the
   // cooperative deadline contract.  Each completed point is streamed to the
   // client immediately as a progress frame.
   std::vector<BatchPoint> points;
   points.reserve(candidates.size());
-  std::ostringstream points_json;
-  points_json.precision(12);
-  points_json << "[";
+  JsonWriter out;
+  out.begin_object();
+  out.field("model", model_id);
+  out.begin_array("points");
   for (size_t i = 0; i < candidates.size(); ++i) {
     deadline.check("sweep point");
     debug_sleep(p);
     ProfileOptions opt = base;
     opt.batch = candidates[i];
-    const ProfileReport r = Profiler(opt).run(*model);
+    const ProfileReport r = Profiler(opt).run(*model->graph, &model->keys);
     BatchPoint point;
     point.batch = candidates[i];
     point.latency_s = r.total_latency_s;
@@ -423,27 +429,22 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
     point.attained_flops = r.roofline.end_to_end.attained_flops();
     points.push_back(point);
 
-    std::ostringstream pj;
-    pj.precision(12);
-    pj << "{\"batch\":" << point.batch
-       << ",\"latency_s\":" << point.latency_s
-       << ",\"throughput_per_s\":" << point.throughput_per_s
-       << ",\"attained_flops\":" << point.attained_flops << "}";
-    send_payload(make_progress(request.id, pj.str()));
-    if (i > 0) {
-      points_json << ",";
-    }
-    points_json << pj.str();
+    JsonWriter pw(128);
+    pw.begin_object();
+    pw.field("batch", point.batch);
+    pw.field("latency_s", point.latency_s);
+    pw.field("throughput_per_s", point.throughput_per_s);
+    pw.field("attained_flops", point.attained_flops);
+    pw.end_object();
+    const std::string point_json = pw.take();
+    send_payload(make_progress(request.id, point_json));
+    out.raw_element(point_json);
   }
-  points_json << "]";
-
-  const int64_t optimal = select_optimal_batch(points, knee_tolerance);
-  std::ostringstream out;
-  out << "{\"model\":" << json::quote(model_id)
-      << ",\"points\":" << points_json.str()
-      << ",\"optimal_batch\":" << optimal
-      << ",\"completed\":" << points.size() << "}";
-  return out.str();
+  out.end_array();
+  out.field("optimal_batch", select_optimal_batch(points, knee_tolerance));
+  out.field("completed", static_cast<int64_t>(points.size()));
+  out.end_object();
+  return out.take();
 }
 
 std::string Session::do_sweep_decode(const Request& request,

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace proof::json {
 
@@ -367,31 +366,51 @@ std::string_view raw(const Value& value, std::string_view text) {
   return text.substr(value.raw_begin, value.raw_end - value.raw_begin);
 }
 
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out.append("\\\"", 2); break;
+      case '\\': out.append("\\\\", 2); break;
+      case '\b': out.append("\\b", 2); break;
+      case '\f': out.append("\\f", 2); break;
+      case '\n': out.append("\\n", 2); break;
+      case '\r': out.append("\\r", 2); break;
+      case '\t': out.append("\\t", 2); break;
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof(u));
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+void append_quoted(std::string& out, std::string_view text) {
+  out.push_back('"');
+  append_escaped(out, text);
+  out.push_back('"');
+}
+
 std::string escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  append_escaped(out, text);
   return out;
 }
 
-std::string quote(std::string_view text) { return "\"" + escape(text) + "\""; }
+std::string quote(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  append_quoted(out, text);
+  return out;
+}
 
 }  // namespace proof::json

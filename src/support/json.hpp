@@ -90,8 +90,18 @@ inline constexpr size_t kMaxDepth = 64;
 /// The verbatim bytes of `value` inside the `text` it was parsed from.
 [[nodiscard]] std::string_view raw(const Value& value, std::string_view text);
 
-/// Escapes `text` for embedding inside a JSON string literal (adds no
-/// surrounding quotes); matches the report serializers' escaping.
+/// Appends `text` escaped for embedding inside a JSON string literal (no
+/// surrounding quotes).  The one escaper every JSON producer in the project
+/// uses: `"` and `\` are backslash-escaped, \b \f \n \r \t get their short
+/// forms, every other byte below 0x20 becomes \u00xx, and all other bytes
+/// (UTF-8 included) pass through verbatim.  Runs of bytes that need no
+/// escape are appended in bulk.
+void append_escaped(std::string& out, std::string_view text);
+
+/// append_escaped with the surrounding quotes.
+void append_quoted(std::string& out, std::string_view text);
+
+/// append_escaped into a fresh string.
 [[nodiscard]] std::string escape(std::string_view text);
 
 /// `"escaped"` with quotes — the common case when hand-writing documents.

@@ -129,7 +129,9 @@ TEST(CounterProfiler, ReplayOverheadScalesWithKernelCount) {
   std::vector<KernelWork> one = {tc_kernel("k0", 1e9, 0.0, 1e6)};
   std::vector<KernelWork> ten;
   for (int i = 0; i < 10; ++i) {
-    ten.push_back(tc_kernel("k" + std::to_string(i), 1e9, 0.0, 1e6));
+    std::string name = "k";
+    name += std::to_string(i);
+    ten.push_back(tc_kernel(name, 1e9, 0.0, 1e6));
   }
   const double t1 = prof.profile(one, model).profiling_time_s;
   const double t10 = prof.profile(ten, model).profiling_time_s;

@@ -49,7 +49,7 @@ std::string normalize(std::string json) {
       if (end == std::string::npos) {
         break;  // truncated JSON; the byte comparison will fail loudly
       }
-      json.replace(start, end - start, "0");
+      json.replace(start, end - start, 1, '0');
       pos = json.find(key, start);
     }
   }

@@ -9,6 +9,7 @@
 #include "obs/self_profile.hpp"
 #include "obs/span.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/thread_pool.hpp"
 
 namespace proof::obs {
@@ -154,6 +155,29 @@ TEST(Obs, SelfProfileJsonIsWellFormed) {
 
   const std::string text = self_profile_text();
   EXPECT_NE(text.find("test.json_counter"), std::string::npos);
+}
+
+TEST(Obs, SelfProfileJsonEscapesControlBytesInNames) {
+  ObsSandbox sandbox;
+  const std::string name = "a\tb\rc\x01";
+  MetricsRegistry::instance().counter(name).add(3);
+  MetricsRegistry::instance().gauge(name + ".g").set(1.5);
+  MetricsRegistry::instance().histogram(name + ".h").observe_ns(1000);
+  const std::string text = self_profile_json();
+  json::Value doc;
+  ASSERT_NO_THROW(doc = json::parse(text)) << text;
+  const json::Value* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->get_int(name), 3);
+  ASSERT_NE(doc.find("gauges"), nullptr);
+  EXPECT_EQ(doc.find("gauges")->get_double(name + ".g"), 1.5);
+  const json::Value* spans = doc.find("spans");
+  ASSERT_NE(spans, nullptr);
+  bool found = false;
+  for (const json::Value& span : spans->array) {
+    found = found || span.get_string("name") == name + ".h";
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(Obs, ResetZeroesValuesButKeepsRegistrations) {

@@ -285,7 +285,7 @@ std::string normalize_wall_clock(std::string json) {
       while (end < json.size() && json[end] != ',' && json[end] != '}') {
         ++end;
       }
-      json.replace(begin, end - begin, "0");
+      json.replace(begin, end - begin, 1, '0');
       pos = begin;
     }
   }

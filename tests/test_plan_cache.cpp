@@ -174,7 +174,7 @@ std::string normalize(std::string json) {
       if (end == std::string::npos) {
         break;
       }
-      json.replace(start, end - start, "0");
+      json.replace(start, end - start, 1, '0');
       pos = json.find(key, start);
     }
   }
@@ -274,6 +274,63 @@ TEST(PlanCacheGoldenOptimize, ByteIdenticalOnVsOff) {
 TEST(PlanCacheGoldenDecodeSweep, ByteIdenticalOnVsOff) {
   expect_on_off_identical("decode_sweep_gpt2", &generate_decode_sweep);
 }
+
+// --- engine hits: the six golden cells, miss vs hit vs uncached --------------
+
+/// A golden cell and how to generate it.
+struct GoldenCell {
+  const char* id;
+  std::string (*generate)();
+};
+
+void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.id; }
+
+std::string generate_resnet50() { return generate_report("resnet50"); }
+std::string generate_bert_base() { return generate_report("bert_base"); }
+std::string generate_shufflenet() { return generate_report("shufflenetv2_10"); }
+std::string generate_sd_unet() { return generate_report("sd_unet"); }
+
+class EngineHitGoldenReports : public ::testing::TestWithParam<GoldenCell> {};
+
+/// The first run builds every engine on a fresh cache; the second reuses
+/// them all, so its layers carry the per-layer work frozen at build time
+/// and its model nodes are never looked up by name; the third is the
+/// uncached pipeline.  All three, and the frozen golden, agree byte for byte.
+TEST_P(EngineHitGoldenReports, HitEqualsMissAndUncached) {
+  const GoldenCell& cell = GetParam();
+  const bool was_enabled = PrepCache::instance().enabled();
+  reset_cache(/*cache_on=*/true);
+  const std::string miss = cell.generate();
+  const PrepCacheStats after_miss = PrepCache::instance().stats();
+  const std::string hit = cell.generate();
+  const PrepCacheStats after_hit = PrepCache::instance().stats();
+  reset_cache(/*cache_on=*/false);
+  const std::string uncached = cell.generate();
+  PrepCache::instance().set_enabled(was_enabled);
+
+  EXPECT_GT(after_miss.engine_misses, 0u);
+  EXPECT_EQ(after_hit.engine_misses, after_miss.engine_misses)
+      << "the second run was not served by engine hits alone";
+  EXPECT_GT(after_hit.engine_hits, after_miss.engine_hits);
+  ASSERT_FALSE(miss.empty());
+  EXPECT_EQ(hit, miss) << "engine hit diverged from the miss that built it";
+  EXPECT_EQ(uncached, miss) << "cached run diverged from the uncached pipeline";
+  const std::string frozen = read_file(golden_path(cell.id));
+  ASSERT_FALSE(frozen.empty()) << "missing golden " << golden_path(cell.id);
+  EXPECT_EQ(hit, frozen);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SixGoldenCells, EngineHitGoldenReports,
+    ::testing::Values(GoldenCell{"resnet50", &generate_resnet50},
+                      GoldenCell{"bert_base", &generate_bert_base},
+                      GoldenCell{"shufflenetv2_10", &generate_shufflenet},
+                      GoldenCell{"sd_unet", &generate_sd_unet},
+                      GoldenCell{"optimize_shufflenetv2_10", &generate_optimize},
+                      GoldenCell{"decode_sweep_gpt2", &generate_decode_sweep}),
+    [](const ::testing::TestParamInfo<GoldenCell>& info) {
+      return std::string(info.param.id);
+    });
 
 /// Full-precision dump of a bert_base batch sweep — every double printed
 /// bit-faithfully, so one ULP of divergence fails the comparison.

@@ -17,6 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/prep_cache.hpp"
+#include "models/zoo.hpp"
+#include "obs/metrics.hpp"
+#include "serve/model_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
@@ -88,7 +92,7 @@ std::string normalize(std::string json) {
       if (end == std::string::npos) {
         break;
       }
-      json.replace(start, end - start, "0");
+      json.replace(start, end - start, 1, '0');
       pos = json.find(key, start);
     }
   }
@@ -194,6 +198,10 @@ TEST(ServeE2e, BadRequestsGetTypedErrorsAndConnectionSurvives) {
 // --- shared caches under concurrency -----------------------------------------
 
 TEST(ServeE2e, ConcurrentClientsShareCachesAndAllSucceed) {
+  // The ledger below is process-wide; start it from zero so the split holds
+  // when the suite runs in one process too.
+  PrepCache::instance().clear();
+  PrepCache::instance().reset_stats();
   serve::ServerOptions options;
   options.max_inflight = 16;
   serve::Server server = make_server(std::move(options));
@@ -221,17 +229,76 @@ TEST(ServeE2e, ConcurrentClientsShareCachesAndAllSucceed) {
   }
 
   // All four profile clients shared one prepared engine: 1 miss, 3 hits.
+  // The uncached pipeline (PROOF_PREP_CACHE=0) shares nothing and records
+  // no lookups, so the split only holds with the cache on.
   const serve::Response stats =
       call(server.endpoint(), R"({"id":2,"method":"stats"})");
   ASSERT_TRUE(stats.is_result());
   const json::Value doc = json::parse(stats.payload);
   const json::Value* cache = doc.find("prep_cache");
   ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->get_int("engine_misses"), 1);
-  EXPECT_EQ(cache->get_int("engine_hits"), 3);
+  if (PrepCache::instance().enabled()) {
+    EXPECT_EQ(cache->get_int("engine_misses"), 1);
+    EXPECT_EQ(cache->get_int("engine_hits"), 3);
+  }
   EXPECT_EQ(cache->get_int("engine_lookups"),
             cache->get_int("engine_hits") + cache->get_int("engine_misses"));
   server.stop();
+}
+
+// --- pooled model keys ----------------------------------------------------------
+
+TEST(ServeE2e, PooledModelKeysMatchAFreshFingerprint) {
+  serve::ModelPool pool;
+  const std::vector<std::string> ids = {"resnet50", "shufflenetv2_10",
+                                        "bert_base", "vit_base", "gpt2_decode"};
+  EXPECT_EQ(pool.preload(ids), ids.size());
+  for (const std::string& id : ids) {
+    const std::shared_ptr<const serve::PooledModel> model = pool.entry(id);
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->graph, pool.get(id)) << id;  // one shared graph
+    const GraphKeys fresh = compute_graph_keys(*model->graph);
+    EXPECT_EQ(model->keys.exact, fresh.exact) << id;
+    EXPECT_EQ(model->keys.structural, fresh.structural) << id;
+    const GraphKeys rebuilt = compute_graph_keys(models::build_model(id));
+    EXPECT_EQ(model->keys.exact, rebuilt.exact) << id;
+  }
+}
+
+TEST(ServeE2e, RequestsOnPooledModelsRecordNoFingerprints) {
+#ifdef PROOF_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (PROOF_OBS=OFF)";
+#else
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "observability disabled in this environment";
+  }
+  obs::Counter& fingerprints =
+      obs::MetricsRegistry::instance().counter("prep_cache.fingerprints");
+  const uint64_t before_start = fingerprints.value();
+  serve::ServerOptions options;
+  options.preload = {"shufflenetv2_10"};
+  serve::Server server = make_server(std::move(options));
+  server.start();
+  // Loading the pool hashes the model once.
+  EXPECT_EQ(fingerprints.value() - before_start, 1u);
+
+  const std::string profile =
+      R"({"id":1,"method":"profile","params":{"model":"shufflenetv2_10","platform":"a100","batch":3}})";
+  const std::string analyze =
+      R"({"id":2,"method":"analyze","params":{"model":"shufflenetv2_10","platform":"a100","batch":3}})";
+  const std::string sweep =
+      R"({"id":3,"method":"sweep","params":{"model":"shufflenetv2_10","platform":"a100","batches":[1,3,5]}})";
+  const uint64_t after_start = fingerprints.value();
+  // Warm-up (engine misses) and warm requests (engine hits) alike look the
+  // model up by its pooled keys.
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string* payload : {&profile, &analyze, &sweep}) {
+      EXPECT_TRUE(call(server.endpoint(), *payload).is_result()) << *payload;
+    }
+  }
+  EXPECT_EQ(fingerprints.value() - after_start, 0u);
+  server.stop();
+#endif
 }
 
 // --- admission control --------------------------------------------------------

@@ -663,7 +663,10 @@ std::string client_request(const Args& args, const std::string& method) {
                                const std::string& flag) {
       std::string list;
       for (const int64_t v : int_list_flag(raw, flag)) {
-        list += (list.empty() ? "" : ",") + std::to_string(v);
+        if (!list.empty()) {
+          list += ',';
+        }
+        list += std::to_string(v);
       }
       field(key, "[" + list + "]");
     };
