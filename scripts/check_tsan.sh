@@ -13,7 +13,9 @@
 # the pool with index-written points, plus its own jobs-1-vs-4 byte-identity
 # test), and the shape-polymorphic AnalysisPlan cache (mixed batch sizes
 # instantiating one shared frozen plan concurrently, eviction under a
-# capacity bound, and plan-cache clears).  The JSON parser fuzz
+# capacity bound, and plan-cache clears), and the graphs' copy-on-write
+# node lists (pool threads cloning one shared skeleton, some detaching and
+# writing attrs while others read).  The JSON parser fuzz
 # (ServeJson.ParseFuzz) rides along with the protocol suites.  Any data race
 # in the pool, the cache's shared PreparedEngine entries, the graphs' lazy
 # index maps, the obs shards or the daemon's session teardown fails the run.
@@ -24,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:PlanCache.*}"
+FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:PlanCache.*:GraphCowConcurrency.*}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

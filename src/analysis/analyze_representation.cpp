@@ -31,8 +31,6 @@ void AnalyzeRepresentation::refresh() {
     const OpDef& def = op_def_for(node);
     const OpContext ctx(*graph_, node);
     NodeAnalysis a;
-    a.name = node.name;
-    a.op_type = node.op_type;
     a.flops = def.flops(ctx);
     a.memory = def.memory(ctx);
     a.op_class = def.op_class(ctx);

@@ -14,10 +14,9 @@
 
 namespace proof {
 
-/// Predicted performance-relevant quantities of one model node.
+/// Predicted performance-relevant quantities of one model node, indexed by
+/// NodeId (name and op type are graph().node(id)'s).
 struct NodeAnalysis {
-  std::string name;
-  std::string op_type;
   double flops = 0.0;
   MemoryEstimate memory;
   OpClass op_class = OpClass::kElementwise;

@@ -1,5 +1,6 @@
 #include "analysis/shape_inference.hpp"
 
+#include <span>
 #include <utility>
 
 #include "ops/op_def.hpp"
@@ -26,10 +27,14 @@ void infer_shapes(Graph& graph) {
     PROOF_CHECK(outs.size() == node.outputs.size(),
                 "node '" << node.name << "' declares " << node.outputs.size()
                          << " outputs but op inferred " << outs.size());
+    // topo_order() built the edge index, so the outputs resolve by id and
+    // are overwritten in place (add_node gave every output a desc).
+    const std::span<const TensorId> out_ids = graph.node_output_ids(id);
     for (size_t i = 0; i < outs.size(); ++i) {
-      outs[i].name = node.outputs[i];
-      outs[i].is_param = false;
-      graph.set_tensor(std::move(outs[i]));
+      TensorDesc& desc = graph.tensor(out_ids[i]);
+      desc.dtype = outs[i].dtype;
+      desc.shape = std::move(outs[i].shape);
+      desc.is_param = false;
     }
   }
 }
@@ -44,16 +49,20 @@ void set_batch_size(Graph& graph, int64_t batch) {
   if (old_batch != batch) {
     // Shape-carrying attributes that bake in the old batch size (builders use
     // 0/-1 placeholders where possible; explicit batch appears in e.g.
-    // Expand of broadcast tokens).
-    for (Node& node : graph.nodes()) {
+    // Expand of broadcast tokens).  Nodes are read through the const list and
+    // written only where an attr changes, so a graph whose attrs carry no
+    // batch keeps sharing its node list (Graph::clone_warm).
+    for (size_t i = 0; i < graph.num_nodes(); ++i) {
       for (const char* key : {"shape", "sizes"}) {
-        if (!node.attrs.has(key)) {
+        const AttrMap& attrs = graph.nodes()[i].attrs;
+        if (!attrs.has(key)) {
           continue;
         }
-        std::vector<int64_t> dims = node.attrs.get_ints(key);
+        const std::vector<int64_t>& dims = attrs.get_ints(key);
         if (!dims.empty() && dims[0] == old_batch) {
-          dims[0] = batch;
-          node.attrs.set(key, dims);
+          std::vector<int64_t> rebatched = dims;
+          rebatched[0] = batch;
+          graph.mutable_nodes()[i].attrs.set(key, std::move(rebatched));
         }
       }
     }

@@ -92,12 +92,14 @@ Graph instantiate_plan_graph(const AnalysisPlan& plan, const Graph& model,
   // set_batch_size below rewrites them against the model's actual batch.
   // Only "shape"/"sizes" attrs can diverge between compatible graphs
   // (plan_compatible pins everything else; set_batch_size touches nothing
-  // else), so restoration is limited to nodes carrying them.
+  // else), so restoration is limited to nodes carrying them, and writes only
+  // where they differ: a cell whose attrs match the skeleton's keeps sharing
+  // its node list.
   const std::vector<Node>& src = model.nodes();
-  std::vector<Node>& dst = g.nodes();
-  for (size_t i = 0; i < dst.size(); ++i) {
-    if (dst[i].attrs.has("shape") || dst[i].attrs.has("sizes")) {
-      dst[i].attrs = src[i].attrs;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const AttrMap& have = g.nodes()[i].attrs;
+    if ((have.has("shape") || have.has("sizes")) && have != src[i].attrs) {
+      g.mutable_nodes()[i].attrs = src[i].attrs;
     }
   }
   // Restore the model's input descs (shape AND dtype; floats convert to the

@@ -10,8 +10,10 @@
 // shape-erased structural fingerprint (FingerprintMode::kStructural) so sweep
 // inner loops replace the full prepare pipeline with a cheap instantiation:
 //
-//   1. copy the frozen skeleton graph (canonical prepared graph),
-//   2. restore the cell model's inputs + shape-carrying attrs,
+//   1. warm-clone the frozen skeleton graph (canonical prepared graph; the
+//      node list stays shared copy-on-write),
+//   2. restore the cell model's inputs + shape-carrying attrs (written only
+//      where they differ, so most cells never copy a node),
 //   3. one shape-inference pass (set_batch_size),
 //   4. replay the layer recipes through the normal kernel-costing code,
 //   5. replay the frozen mapping.

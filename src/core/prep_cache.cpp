@@ -1,5 +1,6 @@
 #include "core/prep_cache.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -300,9 +301,10 @@ std::shared_ptr<const PreparedEngine> build_prepared(
 }
 
 /// Plan-cache hit path: instantiates a frozen AnalysisPlan for one cell.
-/// One graph copy + one shape-inference pass + recipe/mapping replay — no
-/// validation, no fusion planning, no mapping search.  Byte-identical to
-/// build_prepared over the same (model, config).
+/// One warm skeleton clone (tensor table copied, node list shared) + one
+/// shape-inference pass + recipe/mapping replay — no validation, no fusion
+/// planning, no mapping search.  Byte-identical to build_prepared over the
+/// same (model, config).
 std::shared_ptr<const PreparedEngine> instantiate_prepared(
     const AnalysisPlan& plan, const Graph& model,
     const hw::PlatformDesc& platform, const backends::BuildConfig& config) {
@@ -365,10 +367,37 @@ struct PrepCache::Impl {
 
   // Shape-polymorphic AnalysisPlan level, keyed on the *structural*
   // fingerprint (PlanKey's hash slot holds the structural value).
+  struct PlanSlot {
+    std::shared_future<std::shared_ptr<const AnalysisPlan>> plan;
+    uint64_t id = 0;  ///< unique per inserted slot (a re-inserted key differs)
+    /// Exact fingerprints plan_compatible already accepted for this plan,
+    /// oldest first: a hit by one of those models skips the walk (the exact
+    /// key already identifies the model at the engine level).
+    std::vector<uint64_t> verified;
+  };
+  static constexpr size_t kMaxVerifiedPerPlan = 16;
   size_t plan_capacity = env_plan_capacity();
-  std::map<PlanKey, std::shared_future<std::shared_ptr<const AnalysisPlan>>>
-      analysis_plans;
+  std::map<PlanKey, PlanSlot> analysis_plans;
   std::list<PlanKey> plan_order;  ///< insertion order, for FIFO eviction
+  uint64_t next_slot_id = 0;
+
+  /// Records that `exact` passed plan_compatible against slot `slot_id` of
+  /// `key` (ignored when that slot was evicted or replaced meanwhile).
+  /// Caller holds mu.
+  void remember_verified(const PlanKey& key, uint64_t slot_id, uint64_t exact) {
+    const auto it = analysis_plans.find(key);
+    if (it == analysis_plans.end() || it->second.id != slot_id) {
+      return;
+    }
+    std::vector<uint64_t>& verified = it->second.verified;
+    if (std::find(verified.begin(), verified.end(), exact) != verified.end()) {
+      return;  // a concurrent hit by the same model verified it first
+    }
+    if (verified.size() == kMaxVerifiedPerPlan) {
+      verified.erase(verified.begin());
+    }
+    verified.push_back(exact);
+  }
 };
 
 PrepCache::PrepCache() : impl_(std::make_unique<Impl>()) {}
@@ -489,6 +518,8 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
   std::optional<std::promise<std::shared_ptr<const AnalysisPlan>>>
       aplan_promise;
   std::shared_future<std::shared_ptr<const AnalysisPlan>> aplan_future;
+  uint64_t aplan_slot = 0;
+  bool aplan_verified = false;
 
   std::shared_future<std::shared_ptr<const PreparedEngine>> ready;
   bool is_hit = false;
@@ -522,14 +553,20 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         ++impl_->stats.plan_cache_hits;
         PROOF_COUNT("prep_cache.plan_hits", 1);
         PROOF_COUNT("plan_cache.hits", 1);
-        aplan_future = ait->second;
+        const Impl::PlanSlot& slot = ait->second;
+        aplan_future = slot.plan;
+        aplan_slot = slot.id;
+        aplan_verified = std::find(slot.verified.begin(), slot.verified.end(),
+                                   graph_keys.exact) != slot.verified.end();
       } else {
         ++impl_->stats.plan_misses;
         ++impl_->stats.plan_cache_misses;
         PROOF_COUNT("prep_cache.plan_misses", 1);
         PROOF_COUNT("plan_cache.misses", 1);
         aplan_promise.emplace();
-        impl_->analysis_plans.emplace(skey, aplan_promise->get_future().share());
+        impl_->analysis_plans.emplace(
+            skey, Impl::PlanSlot{aplan_promise->get_future().share(),
+                                 impl_->next_slot_id++, {}});
         impl_->plan_order.push_back(skey);
         // FIFO memory backstop; never evict the plan just inserted.
         while (impl_->plan_capacity != 0 &&
@@ -575,17 +612,25 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       // (structurally incompatible graph) or an instantiation error falls
       // back to a full build without touching the published plan.
       const std::shared_ptr<const AnalysisPlan> aplan = aplan_future.get();
-      if (plan_compatible(*aplan, model)) {
+      bool compatible = aplan_verified;
+      if (!compatible) {
+        PROOF_COUNT("plan_cache.verifications", 1);
+        compatible = plan_compatible(*aplan, model);
+        std::lock_guard<std::mutex> lock(impl_->mu);
+        ++impl_->stats.plan_cache_verifications;
+        if (compatible) {
+          impl_->remember_verified(skey, aplan_slot, graph_keys.exact);
+        } else {
+          ++impl_->stats.plan_cache_collisions;
+        }
+      }
+      if (compatible) {
         try {
           entry = instantiate_prepared(*aplan, model, platform, config);
         } catch (const Error&) {
           PROOF_COUNT("plan_cache.fallbacks", 1);
         }
       } else {
-        {
-          std::lock_guard<std::mutex> lock(impl_->mu);
-          ++impl_->stats.plan_cache_collisions;
-        }
         PROOF_COUNT("plan_cache.collisions", 1);
       }
       if (entry == nullptr) {

@@ -30,9 +30,12 @@
 //
 // There are two prepare paths.  An engine miss whose structure is new runs
 // the full pipeline (build_prepared) and freezes its AnalysisPlan; an engine
-// miss whose structure is cached instantiates the plan instead — one graph
-// copy, one shape inference pass, closed-form kernel re-evaluation and a
-// mapping replay.  prepare_engine() is the same full pipeline without the
+// miss whose structure is cached instantiates the plan instead — a warm
+// clone of the skeleton graph (fresh tensor table, node list shared
+// copy-on-write), one in-place shape inference pass, closed-form kernel
+// re-evaluation and a mapping replay.  The structural plan_compatible check
+// runs once per (plan, model): each plan remembers the exact keys it has
+// accepted.  prepare_engine() is the same full pipeline without the
 // cache; PROOF_PREP_CACHE=0 (or set_enabled(false)) routes every call there.
 // Reports are byte-identical either way, which the golden and plan-cache
 // tests check.
@@ -105,6 +108,9 @@ struct PrepCacheStats {
   size_t plan_cache_misses = 0;      ///< full structure phase built + frozen
   size_t plan_cache_evictions = 0;   ///< plans dropped by the FIFO backstop
   size_t plan_cache_collisions = 0;  ///< fingerprint hit, verification failed
+  /// plan_compatible walks run on hits; a plan remembers the exact keys it
+  /// accepted, so a repeat hit by the same model skips the walk.
+  size_t plan_cache_verifications = 0;
   uint64_t plan_cache_build_ns = 0;  ///< cumulative structure-phase build time
 
   [[nodiscard]] double engine_hit_rate() const {

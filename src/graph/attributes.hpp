@@ -42,6 +42,8 @@ class AttrMap {
 
   [[nodiscard]] const Map& raw() const { return values_; }
 
+  [[nodiscard]] bool operator==(const AttrMap& other) const = default;
+
  private:
   Map values_;
 };

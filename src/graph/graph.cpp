@@ -126,7 +126,7 @@ void Graph::rebuild_eager_tables() {
   for (auto& [tensor_name, desc] : tensors_) {
     desc_of_[static_cast<size_t>(intern_name(tensor_name))] = &desc;
   }
-  for (const Node& n : nodes_) {
+  for (const Node& n : nodes()) {
     intern_name(n.name);
     for (const std::string& in : n.inputs) {
       intern_name(in);
@@ -161,9 +161,10 @@ NodeId Graph::add_node(Node node) {
       desc_of_[static_cast<size_t>(tid)] = &it->second;
     }
   }
-  nodes_.push_back(std::move(node));
+  detach_nodes();
+  nodes_->push_back(std::move(node));
   invalidate_structure();
-  return static_cast<NodeId>(nodes_.size() - 1);
+  return static_cast<NodeId>(num_nodes() - 1);
 }
 
 void Graph::set_tensor(TensorDesc desc) {
@@ -215,7 +216,7 @@ uint64_t Graph::index_generation() const {
 void Graph::rebuild_edges(Index& ix) const {
   PROOF_SPAN("graph.index.build");
   const size_t interned_before = names_.size();
-  const size_t n = nodes_.size();
+  const size_t n = num_nodes();
 
   ix.in_offsets.assign(n + 1, 0);
   ix.out_offsets.assign(n + 1, 0);
@@ -226,7 +227,7 @@ void Graph::rebuild_edges(Index& ix) const {
 
   std::vector<TensorId> name_of_node(n, kInvalidTensor);
   for (size_t i = 0; i < n; ++i) {
-    const Node& nd = nodes_[i];
+    const Node& nd = nodes()[i];
     name_of_node[i] = intern_name(nd.name);
     ix.node_op_type[i] = ix.op_types.intern(nd.op_type);
     for (const std::string& in : nd.inputs) {
@@ -244,7 +245,7 @@ void Graph::rebuild_edges(Index& ix) const {
   for (size_t i = 0; i < n; ++i) {
     NodeId& slot = ix.node_of_name[static_cast<size_t>(name_of_node[i])];
     if (slot != kInvalidNode) {
-      throw ModelError("duplicate node name '" + nodes_[i].name + "'");
+      throw ModelError("duplicate node name '" + nodes()[i].name + "'");
     }
     slot = static_cast<NodeId>(i);
   }
@@ -323,7 +324,7 @@ void Graph::rebuild_topo(Index& ix) const {
   // Kahn's algorithm over the CSR adjacency.  FIFO via a head cursor: the pop
   // order equals the push order, so `order` doubles as the ready queue.  The
   // ready queue is seeded in node-index order.
-  const size_t n = nodes_.size();
+  const size_t n = num_nodes();
   std::vector<int32_t> in_degree(n, 0);
   for (size_t i = 0; i < n; ++i) {
     for (uint32_t o = ix.in_offsets[i]; o < ix.in_offsets[i + 1]; ++o) {
@@ -381,10 +382,7 @@ void Graph::warm_indices() const { (void)ensure_topo(); }
 Graph Graph::clone_warm() const {
   Graph g;
   g.name_ = name_;
-  {
-    PROOF_SPAN("graph.clone.nodes");
-    g.nodes_ = nodes_;
-  }
+  g.nodes_ = nodes_;  // copy-on-write: detach_nodes() copies on first write
   {
     PROOF_SPAN("graph.clone.tensors");
     g.tensors_ = tensors_;
@@ -435,14 +433,36 @@ Graph Graph::clone_warm() const {
 // --- node / tensor accessors -------------------------------------------------
 
 const Node& Graph::node(NodeId id) const {
-  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
-  return nodes_[static_cast<size_t>(id)];
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(), "bad node id " << id);
+  return nodes()[static_cast<size_t>(id)];
 }
 
 Node& Graph::mutable_node(NodeId id) {
-  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(), "bad node id " << id);
   invalidate_structure();
-  return nodes_[static_cast<size_t>(id)];
+  return mutable_nodes()[static_cast<size_t>(id)];
+}
+
+std::vector<Node>& Graph::mutable_nodes() {
+  detach_nodes();
+  return *nodes_;
+}
+
+const std::vector<Node>& Graph::empty_nodes() {
+  static const std::vector<Node> empty;
+  return empty;
+}
+
+void Graph::detach_nodes() {
+  if (nodes_ == nullptr) {
+    nodes_ = std::make_shared<std::vector<Node>>();
+  } else if (nodes_.use_count() != 1) {
+    // Same rule as StringPool::detach: a list only this graph holds is
+    // written in place; a shared one is copied first, so the other holders
+    // (a plan skeleton, concurrent clones) never see the write.
+    PROOF_SPAN("graph.clone.nodes");
+    nodes_ = std::make_shared<std::vector<Node>>(*nodes_);
+  }
 }
 
 bool Graph::has_tensor(std::string_view name) const {
@@ -476,6 +496,10 @@ bool Graph::has_tensor(TensorId id) const {
 const TensorDesc& Graph::tensor(TensorId id) const {
   PROOF_CHECK(has_tensor(id), "unknown tensor id " << id);
   return *desc_of_[static_cast<size_t>(id)];
+}
+
+TensorDesc& Graph::tensor(TensorId id) {
+  return const_cast<TensorDesc&>(std::as_const(*this).tensor(id));
 }
 
 bool Graph::tensor_is_param(TensorId id) const {
@@ -524,8 +548,12 @@ std::span<const NodeId> Graph::consumers(std::string_view tensor_name) const {
   return consumers(names_.find(tensor_name));
 }
 
+bool Graph::edge_index_current() const {
+  return index_->edges_valid.load(std::memory_order_acquire);
+}
+
 std::span<const TensorId> Graph::node_input_ids(NodeId id) const {
-  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(), "bad node id " << id);
   const Index& ix = ensure_edges();
   const uint32_t begin = ix.in_offsets[static_cast<size_t>(id)];
   const uint32_t end = ix.in_offsets[static_cast<size_t>(id) + 1];
@@ -533,7 +561,7 @@ std::span<const TensorId> Graph::node_input_ids(NodeId id) const {
 }
 
 std::span<const TensorId> Graph::node_output_ids(NodeId id) const {
-  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(), "bad node id " << id);
   const Index& ix = ensure_edges();
   const uint32_t begin = ix.out_offsets[static_cast<size_t>(id)];
   const uint32_t end = ix.out_offsets[static_cast<size_t>(id) + 1];
@@ -541,7 +569,7 @@ std::span<const TensorId> Graph::node_output_ids(NodeId id) const {
 }
 
 OpTypeId Graph::op_type_id(NodeId id) const {
-  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(), "bad node id " << id);
   return ensure_edges().node_op_type[static_cast<size_t>(id)];
 }
 
@@ -606,7 +634,7 @@ std::optional<std::vector<NodeId>> Graph::subgraph_by_io_ids(
       stop[static_cast<size_t>(t)] = 1;
     }
   }
-  std::vector<uint8_t> in_set(nodes_.size(), 0);
+  std::vector<uint8_t> in_set(num_nodes(), 0);
   std::vector<NodeId> frontier;  // FIFO via head cursor
   for (const TensorId t : output_tensors) {
     const NodeId p = t >= 0 && static_cast<size_t>(t) < ix.producer_of.size()
@@ -673,10 +701,10 @@ Graph::Boundary Graph::boundary(const std::vector<NodeId>& node_set) const {
 
 Graph::BoundaryIds Graph::boundary_ids(std::span<const NodeId> node_set) const {
   const Index& ix = ensure_edges();
-  std::vector<uint8_t> member(nodes_.size(), 0);
+  std::vector<uint8_t> member(num_nodes(), 0);
   std::vector<uint8_t> produced_inside(names_.size(), 0);
   for (const NodeId id : node_set) {
-    PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(),
+    PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes(),
                 "bad node id " << id);
     member[static_cast<size_t>(id)] = 1;
     for (uint32_t o = ix.out_offsets[static_cast<size_t>(id)];
@@ -729,7 +757,7 @@ Graph::BoundaryIds Graph::boundary_ids(std::span<const NodeId> node_set) const {
 
 void Graph::validate() const {
   (void)ensure_edges();  // also checks duplicate node names
-  for (const Node& n : nodes_) {
+  for (const Node& n : nodes()) {
     for (const std::string& in : n.inputs) {
       const bool resolvable = has_tensor(in) || producer(in) != kInvalidNode ||
                               std::find(inputs_.begin(), inputs_.end(), in) != inputs_.end();

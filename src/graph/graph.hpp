@@ -82,18 +82,23 @@ class Graph {
 
   // --- lookup -------------------------------------------------------------
 
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
+  /// Read-only node list; never detaches a shared list (see clone_warm).
+  [[nodiscard]] const std::vector<Node>& nodes() const {
+    return nodes_ != nullptr ? *nodes_ : empty_nodes();
+  }
   /// Mutable node list that does NOT invalidate the lazy index: for
   /// attrs-only edits (set_batch_size, instantiate_plan_graph).  A change to
   /// a node's name, op_type, inputs or outputs made through it leaves the
-  /// index stale; renames and rewiring go through mutable_node().
-  [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
+  /// index stale; renames and rewiring go through mutable_node().  Detaches
+  /// a node list shared with a copy, so callers that only might write check
+  /// through nodes() first.
+  [[nodiscard]] std::vector<Node>& mutable_nodes();
   /// Read-only node access; never touches the lazy index.
   [[nodiscard]] const Node& node(NodeId id) const;
   /// Write access for renames/rewiring: invalidates the lazy index, so the
-  /// next structural query rebuilds it.
+  /// next structural query rebuilds it.  Detaches a shared node list.
   [[nodiscard]] Node& mutable_node(NodeId id);
-  [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
+  [[nodiscard]] size_t num_nodes() const { return nodes().size(); }
 
   /// Ordered tensor table (deterministic iteration for serialization).
   /// Lookups go through the interned-name index, never through this map.
@@ -118,6 +123,9 @@ class Graph {
 
   [[nodiscard]] bool has_tensor(TensorId id) const;
   [[nodiscard]] const TensorDesc& tensor(TensorId id) const;
+  /// Writable descriptor by id (in-place shape inference); the name, and so
+  /// the map key, must not change through it.
+  [[nodiscard]] TensorDesc& tensor(TensorId id);
   /// True when the tensor exists and is a model parameter.
   [[nodiscard]] bool tensor_is_param(TensorId id) const;
   /// True when the tensor is a declared graph output.
@@ -131,6 +139,10 @@ class Graph {
   /// adjacency — no per-query allocation.  Stable until the next mutation.
   [[nodiscard]] std::span<const NodeId> consumers(TensorId id) const;
   [[nodiscard]] std::span<const NodeId> consumers(std::string_view tensor_name) const;
+
+  /// True when the lazy edge index is built and current, i.e. the id
+  /// queries below answer without a rebuild.  Never builds it.
+  [[nodiscard]] bool edge_index_current() const;
 
   /// Interned input/output tensor ids of a node (index-cached).
   [[nodiscard]] std::span<const TensorId> node_input_ids(NodeId id) const;
@@ -200,13 +212,17 @@ class Graph {
   void warm_indices() const;
 
   /// Copy that *keeps* the source's warm lookup state instead of resetting
-  /// it: the name pool is deep-cloned id-for-id, the eager tables are
-  /// re-pointed at the copy's own tensor map, and the lazy structural index
-  /// (CSR adjacency, type buckets, topo order) is duplicated already-valid.
+  /// it: the name pool is cloned id-for-id, the eager tables are re-pointed
+  /// at the copy's own tensor map, and the lazy structural index (CSR
+  /// adjacency, type buckets, topo order) is duplicated already-valid.
   /// Skips the ~O(names) re-interning and the first-query index rebuild the
   /// plain copy constructor pays — the win the plan cache's per-cell skeleton
   /// instantiation is built on.  Safe to call concurrently from readers of a
   /// warmed graph (all pure reads).  Interned ids are preserved.
+  ///
+  /// The node list is shared copy-on-write (so is the plain copy's): both
+  /// graphs read one list until either takes mutable_nodes(),
+  /// mutable_node() or add_node(), which detach it onto a private copy.
   [[nodiscard]] Graph clone_warm() const;
 
   /// Monotonic counter bumped on every structural invalidation; lets callers
@@ -230,8 +246,15 @@ class Graph {
   void rebuild_edges(Index& ix) const;
   void rebuild_topo(Index& ix) const;
 
+  /// The shared empty list nodes() returns for a node-less graph.
+  static const std::vector<Node>& empty_nodes();
+  /// Makes nodes_ non-null and uniquely owned (deep copy if shared).
+  void detach_nodes();
+
   std::string name_;
-  std::vector<Node> nodes_;
+  // Copy-on-write node list: null for an empty graph, shared between a graph
+  // and its copies until one of them writes (detach_nodes).
+  std::shared_ptr<std::vector<Node>> nodes_;
   TensorMap tensors_;
   std::vector<std::string> inputs_;
   std::vector<std::string> outputs_;

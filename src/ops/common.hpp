@@ -24,7 +24,7 @@ class UnaryOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

@@ -1,5 +1,8 @@
 #include "ops/op_def.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "ops/registry_init.hpp"
 #include "support/error.hpp"
 
@@ -33,15 +36,40 @@ std::string_view op_class_name(OpClass cls) {
   PROOF_FAIL("unknown op class");
 }
 
+OpContext::OpContext(const Graph& graph, const Node& node)
+    : graph_(&graph), node_(&node) {
+  if (!graph.edge_index_current()) {
+    return;
+  }
+  const std::vector<Node>& nodes = graph.nodes();
+  const std::less<const Node*> before;
+  if (before(&node, nodes.data()) || !before(&node, nodes.data() + nodes.size())) {
+    return;
+  }
+  const NodeId id = static_cast<NodeId>(&node - nodes.data());
+  const std::span<const TensorId> ins = graph.node_input_ids(id);
+  const std::span<const TensorId> outs = graph.node_output_ids(id);
+  if (ins.size() == node.inputs.size() && outs.size() == node.outputs.size()) {
+    in_ids_ = ins.data();
+    out_ids_ = outs.data();
+  }
+}
+
 const TensorDesc& OpContext::input(size_t i) const {
   PROOF_CHECK(i < node_->inputs.size(),
               "node '" << node_->name << "' has no input #" << i);
-  return graph_->tensor(node_->inputs[i]);
+  if (in_ids_ != nullptr && graph_->has_tensor(in_ids_[i])) {
+    return graph_->tensor(in_ids_[i]);
+  }
+  return graph_->tensor(node_->inputs[i]);  // also the unknown-tensor error
 }
 
 const TensorDesc& OpContext::output(size_t i) const {
   PROOF_CHECK(i < node_->outputs.size(),
               "node '" << node_->name << "' has no output #" << i);
+  if (out_ids_ != nullptr && graph_->has_tensor(out_ids_[i])) {
+    return graph_->tensor(out_ids_[i]);
+  }
   return graph_->tensor(node_->outputs[i]);
 }
 
@@ -105,6 +133,7 @@ std::vector<std::string> OpRegistry::registered_types() const {
   for (const auto& [key, def] : defs_) {
     out.push_back(key);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -12,9 +12,12 @@
 // inference purely structural while preserving the analysis semantics.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -58,15 +61,23 @@ struct MemoryEstimate {
 };
 
 /// Resolved view of one node inside a graph, handed to OpDef methods.
+///
+/// Operands resolve by interned id (graph.tensor(TensorId), one vector
+/// index) when `node` is an element of graph.nodes() and the graph's edge
+/// index is current; otherwise — a detached Node, or a graph mutated since
+/// its last index build — by name.  Construction never builds the index, and
+/// both paths return the same descriptor and throw the same errors.
 class OpContext {
  public:
-  OpContext(const Graph& graph, const Node& node) : graph_(&graph), node_(&node) {}
+  OpContext(const Graph& graph, const Node& node);
 
   [[nodiscard]] const Node& node() const { return *node_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   [[nodiscard]] const AttrMap& attrs() const { return node_->attrs; }
   [[nodiscard]] size_t num_inputs() const { return node_->inputs.size(); }
   [[nodiscard]] size_t num_outputs() const { return node_->outputs.size(); }
+  /// True when operands resolve by interned id (see the class comment).
+  [[nodiscard]] bool resolves_by_id() const { return in_ids_ != nullptr; }
 
   /// Descriptor of the i-th input; throws when the tensor is undeclared.
   [[nodiscard]] const TensorDesc& input(size_t i) const;
@@ -81,6 +92,10 @@ class OpContext {
  private:
   const Graph* graph_;
   const Node* node_;
+  // Interned operand ids (views into the graph's edge index), or null when
+  // operands resolve by name.
+  const TensorId* in_ids_ = nullptr;
+  const TensorId* out_ids_ = nullptr;
 };
 
 /// Base class of every operator define.
@@ -110,6 +125,14 @@ class OpDef {
                     std::vector<Tensor>& outputs) const;
 };
 
+/// OpDef::infer's result for a one-output op, with `out` moved in (a braced
+/// `{out}` would copy it, shape buffer included).
+[[nodiscard]] inline std::vector<TensorDesc> single_output(TensorDesc out) {
+  std::vector<TensorDesc> outs;
+  outs.push_back(std::move(out));
+  return outs;
+}
+
 /// Global operator registry.  Built-in ops self-register on first access.
 class OpRegistry {
  public:
@@ -121,11 +144,22 @@ class OpRegistry {
   [[nodiscard]] const OpDef& lookup(std::string_view op_type) const;
   [[nodiscard]] bool contains(std::string_view op_type) const;
 
+  /// Every registered op type, sorted.
   [[nodiscard]] std::vector<std::string> registered_types() const;
 
  private:
   OpRegistry();
-  std::map<std::string, std::unique_ptr<OpDef>, std::less<>> defs_;
+  /// string_view-keyed lookups without a temporary std::string.
+  struct TypeHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  // Hashed: lookup() runs once per node in every inference, analysis and
+  // lowering pass.
+  std::unordered_map<std::string, std::unique_ptr<OpDef>, TypeHash, std::equal_to<>>
+      defs_;
 };
 
 /// Convenience: OpDef for a node (throws for unknown op types).

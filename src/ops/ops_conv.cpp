@@ -63,7 +63,7 @@ class ConvOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{g.n, w.dim(0), g.h_out(), g.w_out()};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -165,7 +165,7 @@ class ConvTransposeOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{x.dim(0), w.dim(1) * groups, h_out, w_out};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -195,7 +195,7 @@ class MaxPoolOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{g.n, g.c_in, g.h_out(), g.w_out()};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -260,7 +260,7 @@ class AveragePoolOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{g.n, g.c_in, g.h_out(), g.w_out()};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -292,7 +292,7 @@ class GlobalAveragePoolOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape(std::move(dims));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

@@ -22,7 +22,7 @@ std::vector<TensorDesc> BinaryOp::infer(const OpContext& ctx) const {
   TensorDesc out;
   out.dtype = ctx.input(0).dtype;
   out.shape = Shape::broadcast(ctx.in_shape(0), ctx.in_shape(1));
-  return {out};
+  return single_output(std::move(out));
 }
 
 double BinaryOp::flops(const OpContext& ctx) const {

@@ -23,7 +23,7 @@ class InstanceNormOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -44,7 +44,7 @@ class PReluOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -82,7 +82,7 @@ class PixelShuffleOp final : public OpDef {
       out.shape = Shape{x.dim(0), x.dim(1) * block * block, x.dim(2) / block,
                         x.dim(3) / block};
     }
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -110,7 +110,7 @@ class GlobalMaxPoolOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape(std::move(dims));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -156,7 +156,7 @@ class ReduceExtremumOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = reduced_shape(ctx);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -189,7 +189,7 @@ class ArgMaxOp final : public OpDef {
     TensorDesc out;
     out.dtype = DType::kI64;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -209,7 +209,7 @@ class LogSoftmaxOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -280,7 +280,7 @@ class EinsumOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = analyze(ctx).out;
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

@@ -34,7 +34,7 @@ class GemmOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{d.m, d.n};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -117,7 +117,7 @@ class MatMulOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape(std::move(out_dims));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

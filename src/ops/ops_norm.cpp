@@ -18,7 +18,7 @@ class BatchNormOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -64,7 +64,7 @@ class LayerNormOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -123,7 +123,7 @@ class GroupNormOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -143,7 +143,7 @@ class SoftmaxOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -222,7 +222,7 @@ class ReduceOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = reduced_shape(ctx);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

@@ -19,7 +19,7 @@ class QuantizeLinearOp final : public OpDef {
     TensorDesc out;
     out.dtype = DType::kI8;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -56,7 +56,7 @@ class DequantizeLinearOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(1).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {

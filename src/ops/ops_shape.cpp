@@ -73,7 +73,7 @@ class ReshapeOp final : public ViewOpBase {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = resolve_reshape(ctx.in_shape(0), ctx.attrs().get_ints("shape"));
-    return {out};
+    return single_output(std::move(out));
   }
 };
 
@@ -89,7 +89,7 @@ class FlattenOp final : public ViewOpBase {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape{lead, x.numel() / lead};
-    return {out};
+    return single_output(std::move(out));
   }
 };
 
@@ -113,7 +113,7 @@ class SqueezeOp final : public ViewOpBase {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 };
 
@@ -131,7 +131,7 @@ class UnsqueezeOp final : public ViewOpBase {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 };
 
@@ -143,7 +143,7 @@ class IdentityOp final : public ViewOpBase {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 };
 
@@ -155,7 +155,7 @@ class ShapeOp final : public OpDef {
     TensorDesc out;
     out.dtype = DType::kI64;
     out.shape = Shape{static_cast<int64_t>(ctx.in_shape(0).rank())};
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -197,7 +197,7 @@ class TransposeOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape(std::move(dims));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -245,7 +245,7 @@ class ConcatOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -349,7 +349,7 @@ class SliceOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -388,7 +388,7 @@ class GatherOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape(std::move(dims));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -424,7 +424,7 @@ class PadOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -459,7 +459,7 @@ class ResizeOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = std::move(shape);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -483,7 +483,7 @@ class ExpandOp final : public OpDef {
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
     out.shape = Shape::broadcast(ctx.in_shape(0), target);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -501,7 +501,7 @@ class CastOp final : public OpDef {
     TensorDesc out;
     out.dtype = dtype_from_name(ctx.attrs().get_string("to"));
     out.shape = ctx.in_shape(0);
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }
@@ -520,7 +520,7 @@ class WhereOp final : public OpDef {
     out.dtype = ctx.input(1).dtype;
     out.shape = Shape::broadcast(Shape::broadcast(ctx.in_shape(0), ctx.in_shape(1)),
                                  ctx.in_shape(2));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext& ctx) const override {
@@ -540,7 +540,7 @@ class ConstantOp final : public OpDef {
     TensorDesc out;
     out.dtype = dtype_from_name(ctx.attrs().get_string_or("dtype", "fp32"));
     out.shape = Shape(ctx.attrs().get_ints_or("value_shape", {}));
-    return {out};
+    return single_output(std::move(out));
   }
 
   [[nodiscard]] double flops(const OpContext&) const override { return 0.0; }

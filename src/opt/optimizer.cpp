@@ -1,6 +1,8 @@
 #include "opt/optimizer.hpp"
 
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -46,7 +48,9 @@ Measurement measurement_from(const ProfileReport& report, Objective objective,
 /// accepted variants into the incumbent (model, quantization, options).
 class ProfilingVariantSource final : public VariantSource {
  public:
-  ProfilingVariantSource(std::string model_id, Graph graph,
+  ProfilingVariantSource(std::string model_id,
+                         std::shared_ptr<const Graph> graph,
+                         std::optional<GraphKeys> keys,
                          const OptimizeOptions& options)
       : model_id_(std::move(model_id)),
         graph_(std::move(graph)),
@@ -54,12 +58,13 @@ class ProfilingVariantSource final : public VariantSource {
         platform_(hw::PlatformRegistry::instance().get(
             options.base.platform_id)) {
     options_ = options.base;
+    keys_ = keys;
   }
 
   /// Profiles the incumbent configuration (memoized until an acceptance).
   const ProfileReport& incumbent_report() {
     if (!report_) {
-      report_ = Profiler(options_).run(graph_, incumbent_keys());
+      report_ = Profiler(options_).run(*graph_, incumbent_keys());
     }
     return *report_;
   }
@@ -99,7 +104,7 @@ class ProfilingVariantSource final : public VariantSource {
     // materialize its lazy indices and cache fingerprints while still
     // single-threaded (batch/clock/backend-knob variants all profile this
     // same graph, so one hash serves the whole round).
-    graph_.warm_indices();
+    graph_->warm_indices();
     (void)incumbent_keys();
     return fresh;
   }
@@ -128,14 +133,14 @@ class ProfilingVariantSource final : public VariantSource {
           return Profiler(opt).run(substitute);
         }
         if (variant.quantize) {
-          Graph quantized = graph_;
+          Graph quantized = *graph_;
           (void)quantize_to_qdq(quantized);
           return Profiler(opt).run(quantized);
         }
         // `_mod`-substitute and quantize variants above profile rewritten
         // graphs whose structural fingerprints correctly diverge from the
         // incumbent's; only the unmodified-graph knob variants reuse its keys.
-        return Profiler(opt).run(graph_, keys_ ? &*keys_ : nullptr);
+        return Profiler(opt).run(*graph_, keys_ ? &*keys_ : nullptr);
       }();
       return measurement_from(report, opt_.objective, opt_.power_budget_w);
     } catch (const Error& e) {
@@ -152,15 +157,18 @@ class ProfilingVariantSource final : public VariantSource {
   void on_accept(const Variant& variant) override {
     if (!variant.model_substitute.empty()) {
       model_id_ = variant.model_substitute;
-      graph_ = models::build_model(model_id_);
+      Graph substitute = models::build_model(model_id_);
       if (quantized_) {
-        (void)quantize_to_qdq(graph_);
+        (void)quantize_to_qdq(substitute);
       }
+      graph_ = std::make_shared<const Graph>(std::move(substitute));
       keys_.reset();  // the incumbent graph's structure changed
     }
     if (variant.quantize) {
       quantized_ = true;
-      (void)quantize_to_qdq(graph_);
+      Graph quantized = *graph_;  // the incumbent may be shared (serve pool)
+      (void)quantize_to_qdq(quantized);
+      graph_ = std::make_shared<const Graph>(std::move(quantized));
       keys_.reset();
     }
     if (variant.batch) {
@@ -184,7 +192,9 @@ class ProfilingVariantSource final : public VariantSource {
 
  private:
   std::string model_id_;  ///< empty when optimizing a raw graph
-  Graph graph_;
+  /// Incumbent graph: read-only (possibly a serve-pool graph other requests
+  /// share); accepted rewrites replace it.
+  std::shared_ptr<const Graph> graph_;
   OptimizeOptions opt_;
   const hw::PlatformDesc& platform_;
   ProfileOptions options_;
@@ -198,18 +208,21 @@ class ProfilingVariantSource final : public VariantSource {
 
   const GraphKeys* incumbent_keys() {
     if (!keys_) {
-      keys_ = compute_graph_keys(graph_);
+      keys_ = compute_graph_keys(*graph_);
     }
     return &*keys_;
   }
 };
 
-OptimizeResult run_optimize(std::string model_id, Graph graph,
+OptimizeResult run_optimize(std::string model_id,
+                            std::shared_ptr<const Graph> graph,
+                            std::optional<GraphKeys> keys,
                             const OptimizeOptions& options) {
   PROOF_CHECK(!options.base.platform_id.empty(), "platform_id is required");
   PROOF_CHECK(options.power_budget_w >= 0.0,
               "power budget must be non-negative");
-  ProfilingVariantSource source(std::move(model_id), std::move(graph), options);
+  ProfilingVariantSource source(std::move(model_id), std::move(graph), keys,
+                                options);
 
   OptimizeResult result;
   result.baseline_report = source.incumbent_report();
@@ -256,12 +269,22 @@ void classification_json(std::ostringstream& out, const BottleneckReport& c) {
 
 OptimizeResult optimize(const std::string& model_id,
                         const OptimizeOptions& options) {
-  return run_optimize(model_id, models::build_model(model_id), options);
+  return run_optimize(
+      model_id, std::make_shared<const Graph>(models::build_model(model_id)),
+      std::nullopt, options);
+}
+
+OptimizeResult optimize(const std::string& model_id,
+                        std::shared_ptr<const Graph> graph, const GraphKeys& keys,
+                        const OptimizeOptions& options) {
+  PROOF_CHECK(graph != nullptr, "optimize: null graph");
+  return run_optimize(model_id, std::move(graph), keys, options);
 }
 
 OptimizeResult optimize_graph(const Graph& model,
                               const OptimizeOptions& options) {
-  return run_optimize("", model, options);
+  return run_optimize("", std::make_shared<const Graph>(model), std::nullopt,
+                      options);
 }
 
 std::string optimization_section_json(const OptimizationLog& log) {

@@ -16,8 +16,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 
+#include "core/prep_cache.hpp"
 #include "core/profiler.hpp"
 #include "opt/guard.hpp"
 
@@ -46,6 +48,15 @@ struct OptimizeResult {
 
 /// Optimizes a zoo model end to end.  All proposal axes are available.
 [[nodiscard]] OptimizeResult optimize(const std::string& model_id,
+                                      const OptimizeOptions& options);
+
+/// Same as above for a zoo model that is already built and hashed (the serve
+/// daemon's pooled models): `graph` must be models::build_model(model_id) and
+/// `keys` its compute_graph_keys.  The graph is shared read-only, never
+/// copied, rebuilt or re-hashed; accepted rewrites profile private copies.
+[[nodiscard]] OptimizeResult optimize(const std::string& model_id,
+                                      std::shared_ptr<const Graph> graph,
+                                      const GraphKeys& keys,
                                       const OptimizeOptions& options);
 
 /// Optimizes an arbitrary graph.  The model-rewrite axis is unavailable

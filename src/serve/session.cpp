@@ -521,10 +521,12 @@ std::string Session::do_optimize(const Request& request,
   debug_sleep(p);
   deadline.check("before optimizing");
 
-  // Validates the model id against the shared pool (typed 400 on a bad id)
-  // and reuses its cached graph for the baseline-equivalent warm-up path.
-  (void)server_.models().get(model_id);
-  const opt::OptimizeResult result = opt::optimize(model_id, options);
+  // The pooled graph (a bad id is a typed 400) and its keys, hashed once at
+  // load: knob variants profile it as is, rewrites profile private copies.
+  const std::shared_ptr<const PooledModel> model =
+      server_.models().entry(model_id);
+  const opt::OptimizeResult result =
+      opt::optimize(model_id, model->graph, model->keys, options);
   return report_to_json(result.final_report, false,
                         opt::optimization_section_json(result.log));
 }

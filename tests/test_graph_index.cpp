@@ -7,19 +7,23 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "analysis/shape_inference.hpp"
 #include "core/prep_cache.hpp"
 #include "core/profiler.hpp"
 #include "graph/graph.hpp"
 #include "graph/string_pool.hpp"
 #include "models/zoo.hpp"
 #include "obs/metrics.hpp"
+#include "ops/op_def.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace proof {
@@ -338,6 +342,22 @@ void expect_region_agreement(const Graph& g, const std::vector<NodeId>& node_set
             oracle_subgraph(g, want.inputs, want.outputs));
 }
 
+/// On a graph whose edge index is current, every OpContext resolves its
+/// operands by id, to the very descriptors the name lookup returns.
+void expect_op_context_agreement(const Graph& g) {
+  g.warm_indices();
+  for (const Node& n : g.nodes()) {
+    const OpContext ctx(g, n);
+    ASSERT_TRUE(ctx.resolves_by_id()) << n.name;
+    for (size_t k = 0; k < n.inputs.size(); ++k) {
+      EXPECT_EQ(&ctx.input(k), &g.tensor(n.inputs[k])) << n.name;
+    }
+    for (size_t k = 0; k < n.outputs.size(); ++k) {
+      EXPECT_EQ(&ctx.output(k), &g.tensor(n.outputs[k])) << n.name;
+    }
+  }
+}
+
 /// Asserts that the string-keyed and id-keyed lookup APIs agree on `g`, and
 /// that both match the brute-force oracle.
 void expect_lookup_agreement(const Graph& g, std::mt19937& rng) {
@@ -387,6 +407,7 @@ void expect_lookup_agreement(const Graph& g, std::mt19937& rng) {
     }
   }
   expect_region_agreement(g, subset);
+  expect_op_context_agreement(g);
 }
 
 TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
@@ -440,11 +461,9 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
   }
 }
 
-// --- index builds per cold profile -------------------------------------------
+// --- id-resolved op contexts ----------------------------------------------------
 
-using ColdCell = std::tuple<std::string, std::string>;  // (model, backend)
-
-std::vector<std::string> cold_profile_models() {
+std::vector<std::string> zoo_and_extra_models() {
   std::vector<std::string> ids;
   for (const models::ModelSpec& spec : models::model_zoo()) {
     ids.push_back(spec.id);
@@ -454,6 +473,165 @@ std::vector<std::string> cold_profile_models() {
   }
   return ids;
 }
+
+TEST(OpContextIds, EveryZooModelResolvesByIdToTheNamedDescriptor) {
+  for (const std::string& id : zoo_and_extra_models()) {
+    SCOPED_TRACE(id);
+    expect_op_context_agreement(models::build_model(id));
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(OpContextIds, StaleIndexFallsBackToNamesWithoutBuilding) {
+  Graph g = chain3();
+  g.warm_indices();
+  g.add_node(make_node("d", "Relu", {"tc"}, {"td"}));
+  ASSERT_FALSE(g.edge_index_current());
+#ifndef PROOF_OBS_DISABLED
+  obs::Counter& builds = obs::MetricsRegistry::instance().counter("graph.index.builds");
+  const uint64_t builds_before = builds.value();
+#endif
+  for (const Node& n : g.nodes()) {
+    const OpContext ctx(g, n);
+    EXPECT_FALSE(ctx.resolves_by_id()) << n.name;
+    EXPECT_EQ(&ctx.input(0), &g.tensor(n.inputs[0])) << n.name;
+    EXPECT_EQ(&ctx.output(0), &g.tensor(n.outputs[0])) << n.name;
+  }
+  EXPECT_FALSE(g.edge_index_current());
+#ifndef PROOF_OBS_DISABLED
+  EXPECT_EQ(builds.value(), builds_before);
+#endif
+}
+
+TEST(OpContextIds, BothPathsThrowTheSameErrors) {
+  // "ghost" is interned (a node consumes it) but has no descriptor.
+  Graph g = chain3();
+  g.add_node(make_node("d", "Add", {"tc", "ghost"}, {"td"}));
+  const Node& d = g.node(3);
+  const auto message = [](const OpContext& ctx, size_t input) {
+    try {
+      (void)ctx.input(input);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const OpContext stale(g, d);
+  ASSERT_FALSE(stale.resolves_by_id());
+  const std::string unknown = message(stale, 1);
+  const std::string out_of_range = message(stale, 2);
+  EXPECT_NE(unknown.find("unknown tensor 'ghost'"), std::string::npos) << unknown;
+  EXPECT_NE(out_of_range.find("has no input #2"), std::string::npos) << out_of_range;
+
+  g.warm_indices();
+  const OpContext by_id(g, g.node(3));
+  ASSERT_TRUE(by_id.resolves_by_id());
+  EXPECT_EQ(message(by_id, 1), unknown);
+  EXPECT_EQ(message(by_id, 2), out_of_range);
+  // A node that is not an element of the graph's list resolves by name.
+  const Node detached = d;
+  EXPECT_FALSE(OpContext(g, detached).resolves_by_id());
+  EXPECT_EQ(message(OpContext(g, detached), 1), unknown);
+}
+
+// --- copy-on-write node list ---------------------------------------------------
+
+TEST(GraphCow, CloneSharesNodesUntilFirstWrite) {
+  Graph skeleton = models::build_model("resnet50");
+  skeleton.warm_indices();
+  const Node first = skeleton.node(0);
+  Graph clone = skeleton.clone_warm();
+  EXPECT_EQ(clone.nodes().data(), skeleton.nodes().data());
+  // Reads of every kind leave the list shared.
+  (void)clone.node(0);
+  (void)clone.find_node(first.name);
+  (void)clone.topo_order();
+  (void)OpContext(clone, clone.node(0)).input(0);
+  infer_shapes(clone);
+  EXPECT_EQ(clone.nodes().data(), skeleton.nodes().data());
+
+  clone.mutable_nodes()[0].attrs.set("marker", int64_t{1});
+  EXPECT_NE(clone.nodes().data(), skeleton.nodes().data());
+  EXPECT_TRUE(clone.node(0).attrs.has("marker"));
+  EXPECT_FALSE(skeleton.node(0).attrs.has("marker"));
+  // A detached clone still resolves by id: detaching copies, not rewires.
+  EXPECT_TRUE(clone.edge_index_current());
+  EXPECT_TRUE(OpContext(clone, clone.node(0)).resolves_by_id());
+
+  // mutable_node() and add_node() detach too, and a write to the source
+  // after the clone leaves the clone unchanged.
+  Graph renamed = skeleton.clone_warm();
+  renamed.mutable_node(0).name = "renamed";
+  EXPECT_EQ(skeleton.node(0).name, first.name);
+  EXPECT_EQ(renamed.find_node("renamed"), 0);
+  Graph grown = skeleton.clone_warm();
+  grown.add_node(make_node("extra", "Relu", {first.outputs[0]}, {"extra_out"}));
+  EXPECT_EQ(skeleton.num_nodes() + 1, grown.num_nodes());
+  Graph copy = skeleton;
+  EXPECT_EQ(copy.nodes().data(), skeleton.nodes().data());
+  skeleton.mutable_node(0).op_type = "Identity";
+  EXPECT_EQ(copy.node(0).op_type, first.op_type);
+  EXPECT_EQ(grown.node(0).op_type, first.op_type);
+}
+
+TEST(GraphCow, SetBatchSizeWritesAttrsOnlyWhereTheyChange) {
+  // gpt2's reshape targets use -1 for the batch: a new batch changes no attr.
+  Graph llm = models::build_model("gpt2_decode");
+  llm.warm_indices();
+  Graph llm_clone = llm.clone_warm();
+  set_batch_size(llm_clone, 4);
+  EXPECT_EQ(llm_clone.nodes().data(), llm.nodes().data());
+
+  // ViT's class-token Expand bakes the batch into its "shape" attr.
+  Graph vit = models::build_model("vit_tiny");
+  vit.warm_indices();
+  Graph vit_clone = vit.clone_warm();
+  set_batch_size(vit_clone, 4);
+  EXPECT_NE(vit_clone.nodes().data(), vit.nodes().data());
+  const std::span<const NodeId> expands = vit.nodes_of_type("Expand");
+  ASSERT_FALSE(expands.empty());
+  EXPECT_EQ(vit.node(expands[0]).attrs.get_ints("shape")[0], 1);
+  EXPECT_EQ(vit_clone.node(expands[0]).attrs.get_ints("shape")[0], 4);
+}
+
+// Pool threads each clone one shared skeleton; some only read their clone,
+// some write attrs (detaching it), while the skeleton is read throughout.
+// Run under TSan by scripts/check_tsan.sh.
+TEST(GraphCowConcurrency, ClonesDetachAndWriteWhileOthersRead) {
+  Graph skeleton = models::build_model("gpt2_decode");
+  skeleton.warm_indices();
+  const std::string first_name = skeleton.node(0).name;
+  constexpr size_t kTasks = 32;
+  std::vector<size_t> shared_after(kTasks, 0);
+  ThreadPool pool(4);
+  pool.parallel_for(kTasks, [&](size_t i) {
+    Graph clone = skeleton.clone_warm();
+    if (i % 2 == 0) {
+      clone.mutable_nodes()[i % clone.num_nodes()].attrs.set(
+          "task", static_cast<int64_t>(i));
+      set_batch_size(clone, static_cast<int64_t>(i + 1));
+    } else {
+      infer_shapes(clone);
+      for (const Node& n : clone.nodes()) {
+        (void)OpContext(clone, n).output(0);
+      }
+    }
+    shared_after[i] = clone.nodes().data() == skeleton.nodes().data() ? 1 : 0;
+    (void)skeleton.find_node(first_name);
+  });
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(shared_after[i], i % 2 == 0 ? 0u : 1u) << i;
+  }
+  for (const Node& n : skeleton.nodes()) {
+    EXPECT_FALSE(n.attrs.has("task")) << n.name;
+  }
+}
+
+// --- index builds per cold profile -------------------------------------------
+
+using ColdCell = std::tuple<std::string, std::string>;  // (model, backend)
 
 class ColdProfileIndexBuilds : public ::testing::TestWithParam<ColdCell> {};
 
@@ -487,7 +665,7 @@ TEST_P(ColdProfileIndexBuilds, AtMostTwoBuildsAndNoRebuilds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ColdProfileIndexBuilds,
-    ::testing::Combine(::testing::ValuesIn(cold_profile_models()),
+    ::testing::Combine(::testing::ValuesIn(zoo_and_extra_models()),
                        ::testing::Values("trt_sim", "ov_sim", "ort_sim")),
     [](const ::testing::TestParamInfo<ColdCell>& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);

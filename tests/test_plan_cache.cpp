@@ -26,6 +26,7 @@
 #include "hw/platform.hpp"
 #include "models/builder.hpp"
 #include "models/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "opt/optimizer.hpp"
 #include "support/thread_pool.hpp"
 #include "test_util.hpp"
@@ -468,6 +469,95 @@ TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
 
   reset_cache(false);
   EXPECT_EQ(hit_json, profile_at(4));
+  PrepCache::instance().set_enabled(true);
+}
+
+// --- hit verification memo --------------------------------------------------
+
+/// True when obs counters are compiled in and switched on.
+bool obs_counting() {
+#ifdef PROOF_OBS_DISABLED
+  return false;
+#else
+  return obs::enabled();
+#endif
+}
+
+/// Value of an obs counter, or 0 when instrumentation is compiled out.
+uint64_t obs_count(const char* name) {
+#ifdef PROOF_OBS_DISABLED
+  (void)name;
+  return 0;
+#else
+  return obs::MetricsRegistry::instance().counter(name).value();
+#endif
+}
+
+TEST(PlanCacheVerification, DecodeGridVerifiesEachModelOnce) {
+  // Serial, so no two first hits by one model race to verify it.
+  ThreadPool::set_global_jobs(1);
+  reset_cache(true);
+  const uint64_t counted_before = obs_count("plan_cache.verifications");
+  DecodeSweepOptions options;
+  options.config_id = "gpt2";
+  options.platform_id = "a100";
+  options.batches = {1, 2, 4, 8, 16, 32, 64, 128};
+  options.positions = {64, 128, 256, 512, 1024, 2048, 4096, 8192};
+  (void)sweep_decode(options);
+  ThreadPool::set_global_jobs(0);
+
+  // Two plans: prefill (one graph) and decode (one graph per position).
+  // Every (plan, exact key) pair is hit at least once and walked once.
+  const PrepCacheStats stats = PrepCache::instance().stats();
+  EXPECT_EQ(stats.plan_cache_misses, 2u);
+  EXPECT_EQ(stats.plan_cache_hits, (8u - 1u) + (64u - 1u));
+  EXPECT_EQ(stats.plan_cache_verifications, 1u + options.positions.size());
+  EXPECT_EQ(stats.plan_cache_collisions, 0u);
+  if (obs_counting()) {
+    EXPECT_EQ(obs_count("plan_cache.verifications") - counted_before,
+              stats.plan_cache_verifications);
+  }
+}
+
+TEST(PlanCacheVerification, ForcedCollisionCountsEveryTimeAndRebuilds) {
+  const Graph cnn = proof::testing::small_cnn();
+  const Graph transformer = proof::testing::small_transformer();
+  const GraphKeys cnn_keys = compute_graph_keys(cnn);
+  // The transformer's exact key but the CNN's structural key: every lookup
+  // hits the CNN's plan, which must fail verification each time (a failed
+  // walk is never remembered) and fall back to a full build.
+  GraphKeys forced = compute_graph_keys(transformer);
+  forced.structural = cnn_keys.structural;
+  ProfileOptions opt;
+  opt.platform_id = "a100";
+  opt.backend_id = "trt_sim";
+  opt.dtype = DType::kF16;
+  opt.mode = MetricMode::kPredicted;
+
+  reset_cache(true);
+  const uint64_t collisions_before = obs_count("plan_cache.collisions");
+  (void)Profiler(opt).run(cnn, &cnn_keys);
+  std::vector<std::string> forced_json;
+  for (const int64_t batch : {1, 2, 3}) {
+    opt.batch = batch;
+    forced_json.push_back(
+        normalize(report_to_json(Profiler(opt).run(transformer, &forced))));
+  }
+  const PrepCacheStats stats = PrepCache::instance().stats();
+  EXPECT_EQ(stats.plan_cache_hits, 3u);
+  EXPECT_EQ(stats.plan_cache_verifications, 3u);
+  EXPECT_EQ(stats.plan_cache_collisions, 3u);
+  if (obs_counting()) {
+    EXPECT_EQ(obs_count("plan_cache.collisions") - collisions_before, 3u);
+  }
+
+  reset_cache(false);
+  for (size_t i = 0; i < forced_json.size(); ++i) {
+    opt.batch = static_cast<int64_t>(i) + 1;
+    EXPECT_EQ(forced_json[i],
+              normalize(report_to_json(Profiler(opt).run(transformer))))
+        << "batch " << opt.batch;
+  }
   PrepCache::instance().set_enabled(true);
 }
 

@@ -301,6 +301,33 @@ TEST(ServeE2e, RequestsOnPooledModelsRecordNoFingerprints) {
 #endif
 }
 
+TEST(ServeE2e, RepeatedOptimizeOnPooledModelRecordsNoFingerprints) {
+#ifdef PROOF_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (PROOF_OBS=OFF)";
+#else
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "observability disabled in this environment";
+  }
+  obs::Counter& fingerprints =
+      obs::MetricsRegistry::instance().counter("prep_cache.fingerprints");
+  serve::ServerOptions options;
+  options.preload = {"shufflenetv2_10"};
+  serve::Server server = make_server(std::move(options));
+  server.start();
+  // Knob axes only: every variant profiles the pooled graph under its pooled
+  // keys, so neither the first nor a repeated request rebuilds or re-hashes.
+  const std::string optimize =
+      R"({"id":1,"method":"optimize","params":{"model":"shufflenetv2_10","platform":"a100","axes":"batch,backend,clocks","max_rounds":2}})";
+  const uint64_t after_start = fingerprints.value();
+  const serve::Response first = call(server.endpoint(), optimize);
+  ASSERT_TRUE(first.is_result()) << first.error_message;
+  const serve::Response second = call(server.endpoint(), optimize);
+  ASSERT_TRUE(second.is_result()) << second.error_message;
+  EXPECT_EQ(fingerprints.value() - after_start, 0u);
+  server.stop();
+#endif
+}
+
 // --- admission control --------------------------------------------------------
 
 TEST(ServeE2e, OverloadedRequestsAreRejectedWithTyped429) {
