@@ -23,10 +23,10 @@ backends::Engine build_unfused(const Graph& model, const backends::BuildConfig& 
   lowering.split_regions_at_anchors = false;
   std::vector<backends::BackendLayer> layers;
   for (const NodeId id : g.topo_order()) {
-    backends::BackendLayer layer =
-        backends::lower_group(g, {id}, g.node(id).name, false, lowering);
-    layer.info = g.node(id).name;
-    layers.push_back(std::move(layer));
+    backends::LayerLabels labels = backends::group_labels(g, {id});
+    labels.info = g.node(id).name;
+    layers.push_back(backends::lower_group(g, {id}, g.node(id).name, std::move(labels),
+                                           false, lowering));
   }
   return backends::Engine("unfused", std::move(g), std::move(layers), config);
 }

@@ -17,17 +17,17 @@ double name_only_coverage(const backends::Engine& engine) {
   const Graph& g = engine.analysis_graph();
   std::set<std::string> covered;
   for (const backends::BackendLayer& layer : engine.layers()) {
-    if (layer.is_reorder || layer.info.empty()) {
+    if (layer.is_reorder || layer.labels->info.empty()) {
       continue;
     }
-    if (g.find_node(layer.info) != kInvalidNode) {
-      covered.insert(layer.info);
+    if (g.find_node(layer.labels->info) != kInvalidNode) {
+      covered.insert(layer.labels->info);
       continue;
     }
     for (const char sep : {'+', ','}) {
       bool all = true;
       std::set<std::string> names;
-      for (const auto& part : strings::split(layer.info, sep)) {
+      for (const auto& part : strings::split(layer.labels->info, sep)) {
         const std::string name{strings::trim(part)};
         if (name.empty()) {
           continue;

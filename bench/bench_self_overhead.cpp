@@ -18,6 +18,7 @@
 
 using namespace proof;
 
+#ifndef PROOF_OBS_DISABLED
 namespace {
 
 double now_s() {
@@ -44,6 +45,7 @@ double run_workload() {
 }
 
 }  // namespace
+#endif
 
 int main() {
   bench::banner("Self-profiling overhead: instrumentation on vs off");

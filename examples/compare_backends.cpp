@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     size_t opaque = 0;
     size_t reorders = 0;
     for (const backends::BackendLayer& layer : engine.layers()) {
-      fused += layer.truth_nodes.size() > 1 ? 1 : 0;
+      fused += layer.labels->truth_nodes.size() > 1 ? 1 : 0;
       opaque += layer.is_opaque ? 1 : 0;
       reorders += layer.is_reorder ? 1 : 0;
     }

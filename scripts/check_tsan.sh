@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:PlanCache.*:GraphCowConcurrency.*}"
+FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:PlanCache.*:GraphCowConcurrency.*:GraphCow.*:*PlanBoundaries.*:ShapeStorage.*}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

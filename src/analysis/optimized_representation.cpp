@@ -102,8 +102,12 @@ MemoryEstimate OptimizedAnalyzeRepresentation::fused_memory(
   if (members.size() == 1) {
     return base_->analysis(members[0]).memory;
   }
+  return boundary_memory(base_->graph().boundary_ids(members));
+}
+
+MemoryEstimate OptimizedAnalyzeRepresentation::boundary_memory(
+    const Graph::BoundaryIds& b) const {
   const Graph& g = base_->graph();
-  const Graph::BoundaryIds b = g.boundary_ids(members);
   MemoryEstimate est;
   for (const TensorId t : b.params) {
     est.param_bytes += static_cast<double>(g.tensor(t).size_bytes());

@@ -78,6 +78,11 @@ class OptimizedAnalyzeRepresentation {
   /// boundary activations only (intermediates stay on-chip).
   [[nodiscard]] MemoryEstimate fused_memory(const std::vector<NodeId>& members) const;
 
+  /// fused_memory of a multi-node set from its already-known boundary
+  /// (Graph::boundary_ids of the set, e.g. frozen in an AnalysisPlan): the
+  /// byte sums only, no boundary walk.
+  [[nodiscard]] MemoryEstimate boundary_memory(const Graph::BoundaryIds& boundary) const;
+
   /// Sum of member FLOP.
   [[nodiscard]] double fused_flops(const std::vector<NodeId>& members) const;
 

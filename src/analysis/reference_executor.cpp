@@ -31,7 +31,7 @@ std::map<std::string, Tensor> ReferenceExecutor::run(
   // Materialize params deterministically keyed by tensor name.
   for (const auto& [name, desc] : graph_->tensors()) {
     if (desc.is_param) {
-      values.emplace(name, Tensor::random(desc.shape, name));
+      values.emplace(name, Tensor::random(desc.shape, std::string(name)));
     }
   }
   for (const NodeId id : graph_->topo_order()) {

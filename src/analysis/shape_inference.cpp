@@ -79,15 +79,9 @@ void convert_float_dtype(Graph& graph, DType dtype) {
       desc.dtype = dtype;
     }
   }
-  std::vector<std::string> names;
-  names.reserve(graph.tensors().size());
-  for (const auto& [name, desc] : graph.tensors()) {
-    names.push_back(name);
-  }
-  for (const std::string& name : names) {
-    TensorDesc& desc = graph.tensor(name);
-    if (dtype_is_float(desc.dtype)) {
-      desc.dtype = dtype;
+  for (TensorId id = 0; static_cast<size_t>(id) < graph.num_tensor_ids(); ++id) {
+    if (graph.has_tensor(id) && dtype_is_float(graph.tensor(id).dtype)) {
+      graph.tensor(id).dtype = dtype;
     }
   }
   infer_shapes(graph);

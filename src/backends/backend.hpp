@@ -29,22 +29,28 @@ struct BuildConfig {
   int64_t batch = 1;
 };
 
-/// One optimized layer in a built engine.
-struct BackendLayer {
-  std::string name;                        ///< backend naming convention
+/// The name-bearing metadata of one backend layer.  It is fixed by the
+/// model's structure, so lowering builds it once, immutable, and plan replay
+/// (core/analysis_plan.hpp) shares it with every instantiated cell.
+struct LayerLabels {
   std::vector<std::string> input_tensors;  ///< backend tensor names
   std::vector<std::string> output_tensors;
   /// Runtime-specific mapping metadata: ort_sim exposes the original node
   /// name; ov_sim exposes a comma-separated fused-names list (OpenVINO's
   /// originalLayersNames); trt_sim regions expose nothing ("").
   std::string info;
+  /// Ground truth for tests only — model node names this layer implements.
+  std::vector<std::string> truth_nodes;
+};
+
+/// One optimized layer in a built engine.
+struct BackendLayer {
+  std::string name;  ///< backend naming convention
+  std::shared_ptr<const LayerLabels> labels;  ///< never null in an Engine
   bool is_reorder = false;   ///< backend-inserted conversion layer
   bool is_opaque = false;    ///< Myelin-style region: no name-based mapping
   OpClass cls = OpClass::kElementwise;
   std::vector<hw::KernelWork> kernels;
-
-  /// Ground truth for tests only — model node names this layer implements.
-  std::vector<std::string> truth_nodes;
 };
 
 /// Built-in profiler result (per-iteration averages).

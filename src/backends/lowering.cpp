@@ -183,26 +183,32 @@ OpClass dominant_op_class(const Graph& graph, const std::vector<NodeId>& members
   return best;
 }
 
+LayerLabels group_labels(const Graph& graph, const std::vector<NodeId>& members) {
+  LayerLabels labels;
+  const Graph::BoundaryIds b = graph.boundary_ids(members);
+  labels.input_tensors.reserve(b.inputs.size());
+  for (const TensorId t : b.inputs) {
+    labels.input_tensors.emplace_back(graph.tensor_name(t));
+  }
+  labels.output_tensors.reserve(b.outputs.size());
+  for (const TensorId t : b.outputs) {
+    labels.output_tensors.emplace_back(graph.tensor_name(t));
+  }
+  for (const NodeId id : members) {
+    labels.truth_nodes.push_back(graph.node(id).name);
+  }
+  return labels;
+}
+
 BackendLayer lower_group(const Graph& graph, const std::vector<NodeId>& members,
-                         std::string layer_name, bool opaque,
+                         std::string layer_name, LayerLabels labels, bool opaque,
                          const LoweringOptions& options) {
   PROOF_CHECK(!members.empty(), "cannot lower an empty group");
   BackendLayer layer;
   layer.name = std::move(layer_name);
+  layer.labels = std::make_shared<const LayerLabels>(std::move(labels));
   layer.is_opaque = opaque;
   layer.cls = dominant_op_class(graph, members);
-  const Graph::BoundaryIds b = graph.boundary_ids(members);
-  layer.input_tensors.reserve(b.inputs.size());
-  for (const TensorId t : b.inputs) {
-    layer.input_tensors.emplace_back(graph.tensor_name(t));
-  }
-  layer.output_tensors.reserve(b.outputs.size());
-  for (const TensorId t : b.outputs) {
-    layer.output_tensors.emplace_back(graph.tensor_name(t));
-  }
-  for (const NodeId id : members) {
-    layer.truth_nodes.push_back(graph.node(id).name);
-  }
 
   if (!opaque || !options.split_regions_at_anchors) {
     layer.kernels.push_back(
@@ -257,20 +263,17 @@ std::vector<LayerRecipe> extract_layer_recipes(
     LayerRecipe r;
     r.is_reorder = layer.is_reorder;
     r.name = layer.name;
-    r.info = layer.info;
+    r.labels = layer.labels;
     r.is_opaque = layer.is_opaque;
-    r.input_tensors = layer.input_tensors;
-    r.output_tensors = layer.output_tensors;
-    r.truth_nodes = layer.truth_nodes;
     if (layer.is_reorder) {
-      PROOF_CHECK(layer.kernels.size() == 1 && !layer.input_tensors.empty(),
+      PROOF_CHECK(layer.kernels.size() == 1 && !layer.labels->input_tensors.empty(),
                   "reorder layer '" << layer.name
                                     << "' has an unexpected kernel/IO shape");
       // Reorders always source a pre-rename model tensor that exists in the
       // prepared graph; freeze the traffic as a per-byte factor so it scales
       // exactly with the instantiated tensor size.
       r.reorder_bytes = layer.kernels[0].bytes;
-      const TensorDesc& src = built.tensor(layer.input_tensors[0]);
+      const TensorDesc& src = built.tensor(layer.labels->input_tensors[0]);
       const double src_bytes = static_cast<double>(src.size_bytes());
       r.reorder_bytes_per_byte =
           src_bytes > 0.0 ? r.reorder_bytes / src_bytes : 0.0;
@@ -332,15 +335,12 @@ BackendLayer replay_layer_recipe(const Graph& g, const LayerRecipe& recipe,
                                  const std::vector<NodeAnalysis>* analyses) {
   BackendLayer layer;
   layer.name = recipe.name;
-  layer.info = recipe.info;
+  layer.labels = recipe.labels;
   layer.is_reorder = recipe.is_reorder;
   layer.is_opaque = recipe.is_opaque;
-  layer.input_tensors = recipe.input_tensors;
-  layer.output_tensors = recipe.output_tensors;
-  layer.truth_nodes = recipe.truth_nodes;
   if (recipe.is_reorder) {
     layer.cls = OpClass::kCopy;
-    const TensorDesc& src = g.tensor(recipe.input_tensors[0]);
+    const TensorDesc& src = g.tensor(recipe.labels->input_tensors[0]);
     const double src_bytes = static_cast<double>(src.size_bytes());
     hw::KernelWork k;
     k.name = layer.name;
@@ -373,12 +373,14 @@ BackendLayer replay_layer_recipe(const Graph& g, const LayerRecipe& recipe,
 BackendLayer make_reorder_layer(std::string name, const std::string& input_tensor,
                                 const std::string& output_tensor, double bytes,
                                 DType dtype) {
+  LayerLabels labels;
+  labels.input_tensors = {input_tensor};
+  labels.output_tensors = {output_tensor};
   BackendLayer layer;
   layer.name = std::move(name);
+  layer.labels = std::make_shared<const LayerLabels>(std::move(labels));
   layer.is_reorder = true;
   layer.cls = OpClass::kCopy;
-  layer.input_tensors = {input_tensor};
-  layer.output_tensors = {output_tensor};
   hw::KernelWork k;
   k.name = layer.name;
   k.cls = OpClass::kCopy;

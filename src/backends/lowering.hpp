@@ -18,12 +18,18 @@ struct LoweringOptions {
   int max_kernels_per_region = 64;
 };
 
-/// Builds a backend layer from a group of model nodes.  Computes boundary
-/// DRAM traffic, hardware FLOP, matrix-pipeline FLOP and the kernel list.
+/// Labels of a group of model nodes: its boundary tensors as I/O and its
+/// member node names as ground truth; `info` is left to the backend.
+[[nodiscard]] LayerLabels group_labels(const Graph& graph,
+                                       const std::vector<NodeId>& members);
+
+/// Builds a backend layer named `layer_name` from a group of model nodes and
+/// its labels.  Computes boundary DRAM traffic, hardware FLOP,
+/// matrix-pipeline FLOP and the kernel list.
 [[nodiscard]] BackendLayer lower_group(const Graph& graph,
                                        const std::vector<NodeId>& members,
-                                       std::string layer_name, bool opaque,
-                                       const LoweringOptions& options);
+                                       std::string layer_name, LayerLabels labels,
+                                       bool opaque, const LoweringOptions& options);
 
 /// Builds a backend-inserted conversion layer moving `bytes` through DRAM.
 [[nodiscard]] BackendLayer make_reorder_layer(std::string name,
@@ -78,11 +84,9 @@ struct KernelRecipe {
 struct LayerRecipe {
   bool is_reorder = false;
   std::string name;
-  std::string info;
+  /// The canonical layer's labels, shared (not copied) by every replay.
+  std::shared_ptr<const LayerLabels> labels;
   bool is_opaque = false;
-  std::vector<std::string> input_tensors;   ///< backend names (post-rename)
-  std::vector<std::string> output_tensors;
-  std::vector<std::string> truth_nodes;
   /// Fused group layers: member node ids (empty for reorders).
   std::vector<NodeId> members;
   std::vector<KernelRecipe> kernels;
@@ -102,7 +106,7 @@ struct LayerRecipe {
     const BuildPlan& plan);
 
 /// Re-evaluates one frozen layer against a compatible instantiated graph:
-/// cached names/metadata/I-O verbatim, kernel work sizes and op classes
+/// the recipe's labels shared, kernel work sizes and op classes
 /// recomputed from `g`'s shapes through the same code paths lowering uses.
 /// `analyses` (optional, indexed by NodeId over `g`) shares the per-node
 /// flops/memory/class evaluations the caller's AnalyzeRepresentation already

@@ -121,15 +121,16 @@ class OrtSimBackend final : public Backend {
         name = "fused_op_" + std::to_string(fused_index++);
         info = "";  // fused layers expose only their I/O tensors
       }
-      BackendLayer layer = lower_group(g, members, std::move(name), false, lowering);
-      layer.info = info;
-      for (std::string& t : layer.input_tensors) {
+      LayerLabels labels = group_labels(g, members);
+      labels.info = std::move(info);
+      for (std::string& t : labels.input_tensors) {
         const auto it = renames.find(t);
         if (it != renames.end()) {
           t = it->second;
         }
       }
-      layers.push_back(std::move(layer));
+      layers.push_back(
+          lower_group(g, members, std::move(name), std::move(labels), false, lowering));
     }
     // ONNX Runtime's parallel executor runs independent nodes on the
     // inter-op thread pool (session_options.inter_op_num_threads = 3 here).

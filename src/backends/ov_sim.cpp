@@ -64,18 +64,19 @@ class OvSimBackend final : public Backend {
     int index = 0;
     for (const std::vector<NodeId>& members : plan.groups) {
       const std::string& anchor_type = g.node(members.front()).op_type;
-      BackendLayer layer = lower_group(
-          g, members, anchor_type + "_" + std::to_string(index++), false, lowering);
+      LayerLabels labels = group_labels(g, members);
       // originalLayersNames metadata: comma-joined source node names.
-      layer.info = joined_layer_name(g, members, ",");
+      labels.info = joined_layer_name(g, members, ",");
       // Consumers of renamed inputs observe the backend tensor names.
-      for (std::string& t : layer.input_tensors) {
+      for (std::string& t : labels.input_tensors) {
         const auto it = renames.find(t);
         if (it != renames.end()) {
           t = it->second;
         }
       }
-      layers.push_back(std::move(layer));
+      std::string name = anchor_type + "_" + std::to_string(index++);
+      layers.push_back(
+          lower_group(g, members, std::move(name), std::move(labels), false, lowering));
     }
     // OpenVINO's throughput hint splits the compiled model across two infer
     // streams per socket; branch-level concurrency is bounded accordingly.

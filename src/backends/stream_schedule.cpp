@@ -39,7 +39,7 @@ std::vector<std::vector<int>> layer_dependencies(const Engine& engine) {
   std::vector<std::vector<int>> deps(layers.size());
   for (size_t i = 0; i < layers.size(); ++i) {
     std::vector<int>& mine = deps[i];
-    for (const std::string& input : layers[i].input_tensors) {
+    for (const std::string& input : layers[i].labels->input_tensors) {
       const int p = producer(input);
       if (p >= 0 && p != static_cast<int>(i)) {
         PROOF_CHECK(p < static_cast<int>(i),
@@ -53,7 +53,7 @@ std::vector<std::vector<int>> layer_dependencies(const Engine& engine) {
     }
     std::sort(mine.begin(), mine.end());
     mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-    for (const std::string& output : layers[i].output_tensors) {
+    for (const std::string& output : layers[i].labels->output_tensors) {
       record_producer(output, static_cast<int>(i));
     }
   }

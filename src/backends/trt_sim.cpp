@@ -77,11 +77,12 @@ class TrtSimBackend final : public Backend {
       } else {
         name = joined_layer_name(g, members, " + ");
       }
-      BackendLayer layer = lower_group(g, members, std::move(name), opaque, lowering);
+      LayerLabels labels = group_labels(g, members);
       // TensorRT layer names embed the source node names for ordinary fused
       // layers; Myelin regions expose nothing beyond their I/O tensors.
-      layer.info = opaque ? "" : layer.name;
-      layers.push_back(std::move(layer));
+      labels.info = opaque ? "" : name;
+      layers.push_back(
+          lower_group(g, members, std::move(name), std::move(labels), opaque, lowering));
     }
     // TensorRT dispatches independent branches on auxiliary CUDA streams
     // (builder_config.max_aux_streams defaults to the engine's heuristic; 4

@@ -18,20 +18,11 @@ AnalysisPlan build_analysis_plan(const backends::Engine& engine,
   out.recipes = backends::extract_layer_recipes(out.skeleton, engine.layers(),
                                                 out.build_plan);
   out.mapping = mapping;
-  // Pre-resolve every mapping entry's model nodes against the skeleton:
-  // node numbering is positional, so the ids hold in every clone_warm copy.
-  out.mapping_node_ids.reserve(mapping.entries.size());
-  for (const mapping::LayerMapEntry& entry : mapping.entries) {
-    std::vector<NodeId> ids;
-    ids.reserve(entry.model_nodes.size());
-    for (const std::string& name : entry.model_nodes) {
-      const NodeId id = out.skeleton.find_node(name);
-      PROOF_CHECK(id != kInvalidNode,
-                  "analysis plan: mapped node '" << name << "' missing from skeleton");
-      ids.push_back(id);
-    }
-    out.mapping_node_ids.push_back(std::move(ids));
-  }
+  // Pre-resolve every mapping entry's model nodes and their boundary against
+  // the skeleton: node numbering and interned ids are clone_warm-stable.
+  mapping::ResolvedMapping resolved = mapping::resolve_mapping(out.skeleton, mapping);
+  out.mapping_node_ids = std::move(resolved.node_ids);
+  out.mapping_boundaries = std::move(resolved.boundaries);
   out.mapping_coverage = mapping.node_coverage(out.skeleton.num_nodes());
   out.unmapped_layers = mapping.count(mapping::MapMethod::kUnmapped);
   out.stream_policy = engine.stream_policy();
@@ -56,24 +47,23 @@ bool plan_compatible(const AnalysisPlan& plan, const Graph& model) {
       return false;
     }
   }
-  const Graph::TensorMap& st = s.tensors();
-  const Graph::TensorMap& mt = model.tensors();
+  const Graph::TensorView st = s.tensors();
+  const Graph::TensorView mt = model.tensors();
   if (st.size() != mt.size()) {
     return false;
   }
-  auto si = st.begin();
   auto mi = mt.begin();
-  for (; si != st.end(); ++si, ++mi) {
-    const TensorDesc& sd = si->second;
-    const TensorDesc& md = mi->second;
-    if (si->first != mi->first || sd.is_param != md.is_param ||
+  for (auto si = st.begin(); si != st.end(); ++si, ++mi) {
+    const auto [sname, sd] = *si;
+    const auto [mname, md] = *mi;
+    if (sname != mname || sd.is_param != md.is_param ||
         sd.shape.rank() != md.shape.rank()) {
       return false;
     }
     // Param shapes are structural (they size the weights kernels stream);
     // param *dtypes* are exempt — the skeleton's were float-converted when
     // the canonical engine was built, the model's are the source dtypes.
-    if (sd.is_param && sd.shape.dims() != md.shape.dims()) {
+    if (sd.is_param && sd.shape != md.shape) {
       return false;
     }
   }
@@ -109,7 +99,7 @@ Graph instantiate_plan_graph(const AnalysisPlan& plan, const Graph& model,
     if (dtype_is_float(desc.dtype)) {
       desc.dtype = config.dtype;
     }
-    g.set_tensor(std::move(desc));
+    g.set_tensor(in, std::move(desc));
   }
   // One shape-inference pass: infer_shapes overwrites every node-output desc
   // (shape and dtype) in topo order, so the result equals a fresh

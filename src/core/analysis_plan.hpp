@@ -10,8 +10,9 @@
 // shape-erased structural fingerprint (FingerprintMode::kStructural) so sweep
 // inner loops replace the full prepare pipeline with a cheap instantiation:
 //
-//   1. warm-clone the frozen skeleton graph (canonical prepared graph; the
-//      node list stays shared copy-on-write),
+//   1. warm-clone the frozen skeleton graph (canonical prepared graph; only
+//      its descriptors are copied, names, index and node list stay shared
+//      copy-on-write),
 //   2. restore the cell model's inputs + shape-carrying attrs (written only
 //      where they differ, so most cells never copy a node),
 //   3. one shape-inference pass (set_batch_size),
@@ -49,6 +50,10 @@ struct AnalysisPlan {
   /// build time.  Node numbering is positional and clone_warm-stable, so
   /// apply_mapping can take these instead of re-resolving names per cell.
   std::vector<std::vector<NodeId>> mapping_node_ids;
+  /// Per mapping entry of more than one node, that node set's boundary
+  /// tensors on the skeleton (empty otherwise).  Structural like the ids, so
+  /// a cell only sums its descriptors' bytes (freeze_layer_work).
+  std::vector<Graph::BoundaryIds> mapping_boundaries;
   /// mapping.node_coverage(skeleton.num_nodes()) / mapping.count(kUnmapped),
   /// frozen here — both depend only on the frozen mapping and node count.
   double mapping_coverage = 0.0;

@@ -36,7 +36,7 @@ class Fnv {
       byte(static_cast<unsigned char>((v >> (8 * i)) & 0xFFu));
     }
   }
-  void mix(const std::string& s) {
+  void mix(std::string_view s) {
     mix(static_cast<uint64_t>(s.size()));
     for (const char c : s) {
       byte(static_cast<unsigned char>(c));
@@ -187,6 +187,30 @@ PreparedEngine::PreparedEngine(backends::Engine engine_in,
       oar(ar),
       mapping(std::move(mapping_in)) {}
 
+void PreparedEngine::freeze_layer_work(
+    const std::vector<std::vector<NodeId>>& member_ids,
+    const std::vector<Graph::BoundaryIds>& boundaries) {
+  const std::vector<backends::BackendLayer>& layers = engine.layers();
+  PROOF_CHECK(member_ids.size() == layers.size() && boundaries.size() == layers.size(),
+              "freeze_layer_work: " << member_ids.size() << " resolved entries for "
+                                    << layers.size() << " layers");
+  layer_work.assign(layers.size(), LayerWork{});
+  for (size_t i = 0; i < layers.size(); ++i) {
+    const std::vector<NodeId>& ids = member_ids[i];
+    LayerWork& work = layer_work[i];
+    if (!ids.empty()) {
+      // oar.fused_memory(ids), with the boundary walk already done.
+      work.flops = oar.fused_flops(ids);
+      work.bytes = ids.size() == 1 ? ar.analysis(ids[0]).memory.total()
+                                   : oar.boundary_memory(boundaries[i]).total();
+    } else if (layers[i].is_reorder) {
+      for (const hw::KernelWork& k : layers[i].kernels) {
+        work.bytes += k.bytes;
+      }
+    }
+  }
+}
+
 // --- PrepCache ---------------------------------------------------------------
 
 namespace {
@@ -228,40 +252,6 @@ size_t env_plan_capacity() {
   return env_capacity_or("PROOF_PLAN_CACHE_CAP", 128);
 }
 
-/// Freezes every layer's predicted work (the analytical metric mode of
-/// Profiler::run): fusion-aware Equation 1 over the layer's mapped node set;
-/// an unmapped conversion layer carries its kernels' traffic; anything else
-/// is zero.  `member_ids[i]`, when given, are layer i's mapped node ids;
-/// otherwise the mapped names are resolved in the AR's graph.  Called once
-/// the mapping is applied, so every later hit only copies the numbers.
-void freeze_layer_work(PreparedEngine& prep,
-                       const std::vector<std::vector<NodeId>>* member_ids) {
-  const std::vector<backends::BackendLayer>& layers = prep.engine.layers();
-  prep.layer_work.assign(layers.size(), PreparedEngine::LayerWork{});
-  std::vector<NodeId> resolved;
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const mapping::LayerMapEntry& entry = prep.mapping.entries[i];
-    PreparedEngine::LayerWork& work = prep.layer_work[i];
-    if (!entry.model_nodes.empty()) {
-      const std::vector<NodeId>* ids = &resolved;
-      if (member_ids != nullptr) {
-        ids = &(*member_ids)[i];
-      } else {
-        resolved.clear();
-        for (const std::string& name : entry.model_nodes) {
-          resolved.push_back(prep.ar.graph().find_node(name));
-        }
-      }
-      work.flops = prep.oar.fused_flops(*ids);
-      work.bytes = prep.oar.fused_memory(*ids).total();
-    } else if (layers[i].is_reorder) {
-      for (const hw::KernelWork& k : layers[i].kernels) {
-        work.bytes += k.bytes;
-      }
-    }
-  }
-}
-
 /// The full (a)-(d) pipeline: fusion planning, lowering, AR/OAR and the
 /// mapping search.  Fills `*out_analysis_plan` (when non-null) with the frozen
 /// shape-polymorphic structure phase for AnalysisPlan publication.
@@ -287,7 +277,9 @@ std::shared_ptr<const PreparedEngine> build_prepared(
   entry->mapping_coverage = entry->mapping.node_coverage(entry->ar.num_nodes());
   entry->unmapped_layers = entry->mapping.count(mapping::MapMethod::kUnmapped);
   entry->analysis_time_s = now_s() - t0;
-  freeze_layer_work(*entry, nullptr);
+  const mapping::ResolvedMapping resolved =
+      mapping::resolve_mapping(entry->ar.graph(), entry->mapping);
+  entry->freeze_layer_work(resolved.node_ids, resolved.boundaries);
 
   // Shared entries are read concurrently; materialize every lazy index now.
   warm_graph_indices(entry->engine.analysis_graph());
@@ -301,7 +293,7 @@ std::shared_ptr<const PreparedEngine> build_prepared(
 }
 
 /// Plan-cache hit path: instantiates a frozen AnalysisPlan for one cell.
-/// One warm skeleton clone (tensor table copied, node list shared) + one
+/// One warm skeleton clone (descriptors copied, all else shared) + one
 /// shape-inference pass + recipe/mapping replay — no validation, no fusion
 /// planning, no mapping search.  Byte-identical to build_prepared over the
 /// same (model, config).
@@ -336,11 +328,11 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
       std::move(engine), plan.mapping, std::move(ar),
       PreparedEngine::PreInferredTag{});
   mapping::apply_mapping(entry->engine, entry->oar, entry->mapping,
-                         &plan.mapping_node_ids);
+                         plan.mapping_node_ids);
   entry->mapping_coverage = plan.mapping_coverage;
   entry->unmapped_layers = plan.unmapped_layers;
   entry->analysis_time_s = analysis_s + (now_s() - t1);
-  freeze_layer_work(*entry, &plan.mapping_node_ids);
+  entry->freeze_layer_work(plan.mapping_node_ids, plan.mapping_boundaries);
 
   // Engine and AR share one analysis graph here; one warm covers both (and
   // clone_warm already produced it warm — this is a cheap validity check).
@@ -546,12 +538,10 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
                   .first->second;
       impl_->engine_order.push_back(ekey);
       // AnalysisPlan level: structural-fingerprint keyed, shared across batch
-      // sizes and decode positions.  plan_hits/plan_misses mirror it.
+      // sizes and decode positions.
       const auto ait = impl_->analysis_plans.find(skey);
       if (ait != impl_->analysis_plans.end()) {
-        ++impl_->stats.plan_hits;
         ++impl_->stats.plan_cache_hits;
-        PROOF_COUNT("prep_cache.plan_hits", 1);
         PROOF_COUNT("plan_cache.hits", 1);
         const Impl::PlanSlot& slot = ait->second;
         aplan_future = slot.plan;
@@ -559,9 +549,7 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         aplan_verified = std::find(slot.verified.begin(), slot.verified.end(),
                                    graph_keys.exact) != slot.verified.end();
       } else {
-        ++impl_->stats.plan_misses;
         ++impl_->stats.plan_cache_misses;
-        PROOF_COUNT("prep_cache.plan_misses", 1);
         PROOF_COUNT("plan_cache.misses", 1);
         aplan_promise.emplace();
         impl_->analysis_plans.emplace(

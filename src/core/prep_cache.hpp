@@ -31,9 +31,10 @@
 // There are two prepare paths.  An engine miss whose structure is new runs
 // the full pipeline (build_prepared) and freezes its AnalysisPlan; an engine
 // miss whose structure is cached instantiates the plan instead — a warm
-// clone of the skeleton graph (fresh tensor table, node list shared
-// copy-on-write), one in-place shape inference pass, closed-form kernel
-// re-evaluation and a mapping replay.  The structural plan_compatible check
+// clone of the skeleton graph (descriptor table copied; names, index and
+// node list shared copy-on-write), one in-place shape inference pass,
+// closed-form kernel re-evaluation and a mapping replay over the plan's
+// frozen node ids and boundaries.  The structural plan_compatible check
 // runs once per (plan, model): each plan remembers the exact keys it has
 // accepted.  prepare_engine() is the same full pipeline without the
 // cache; PROOF_PREP_CACHE=0 (or set_enabled(false)) routes every call there.
@@ -93,17 +94,24 @@ class PreparedEngine {
   /// the two constructors (callers that assemble an entry by hand fill it
   /// themselves or do not use Profiler::run).
   std::vector<LayerWork> layer_work;
+
+  /// Fills layer_work once the mapping is applied: fusion-aware Equation 1
+  /// over each layer's mapped node set; an unmapped conversion layer carries
+  /// its kernels' traffic; anything else is zero.  `member_ids` and
+  /// `boundaries` are the mapping resolved against the AR's graph numbering
+  /// (mapping::ResolvedMapping, or an AnalysisPlan's frozen copy), so only
+  /// per-node values and descriptor bytes are read.
+  void freeze_layer_work(const std::vector<std::vector<NodeId>>& member_ids,
+                         const std::vector<Graph::BoundaryIds>& boundaries);
 };
 
 struct PrepCacheStats {
   size_t engine_hits = 0;    ///< full (a)-(d) skipped
   size_t engine_misses = 0;
-  size_t plan_hits = 0;      ///< engine misses served by an AnalysisPlan
-  size_t plan_misses = 0;    ///< engine misses that built a new AnalysisPlan
   size_t evictions = 0;      ///< entries dropped by the FIFO memory backstop
 
-  // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed).
-  // plan_cache_hits/misses equal plan_hits/plan_misses above.
+  // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed);
+  // every engine miss is exactly one plan-cache hit or miss.
   size_t plan_cache_hits = 0;        ///< frozen plan instantiated per cell
   size_t plan_cache_misses = 0;      ///< full structure phase built + frozen
   size_t plan_cache_evictions = 0;   ///< plans dropped by the FIFO backstop
@@ -116,10 +124,6 @@ struct PrepCacheStats {
   [[nodiscard]] double engine_hit_rate() const {
     const size_t total = engine_hits + engine_misses;
     return total == 0 ? 0.0 : static_cast<double>(engine_hits) / static_cast<double>(total);
-  }
-  [[nodiscard]] double plan_hit_rate() const {
-    const size_t total = plan_hits + plan_misses;
-    return total == 0 ? 0.0 : static_cast<double>(plan_hits) / static_cast<double>(total);
   }
 };
 

@@ -10,13 +10,16 @@
 
 namespace proof {
 
-// Lazy structural index.  Rebuilt as a whole on first query after a
-// structural mutation; guarded by `mutex` with double-checked atomic validity
-// flags so warmed-up const lookups are lock-free.
+// Lazy index.  Rebuilt as a whole on first query after a mutation that
+// changes it; guarded by `mutex` with double-checked atomic validity flags so
+// warmed-up const lookups are lock-free.  Shared by clone_warm() copies only
+// while fully built, so a shared index is never rebuilt in place: a graph
+// that invalidates part of a shared index moves onto its own first.
 struct Graph::Index {
   std::mutex mutex;
   std::atomic<bool> edges_valid{false};
   std::atomic<bool> topo_valid{false};
+  std::atomic<bool> order_valid{false};
   std::atomic<uint64_t> generation{0};
   bool edges_built_once = false;  ///< for the rebuild-after-invalidation counter
   bool topo_built_once = false;
@@ -41,6 +44,36 @@ struct Graph::Index {
   std::vector<NodeId> consumer_list;
   // Cached topological order.
   std::vector<NodeId> topo;
+  // Declared tensor ids sorted by name (Graph::tensors()).
+  std::vector<TensorId> tensor_order;
+
+  /// A private copy of `src`'s edge and topo state (tensor order left to be
+  /// rebuilt), for a graph leaving a shared index.
+  static std::shared_ptr<Index> copy_structure(const Index& src) {
+    auto ix = std::make_shared<Index>();
+    ix->generation.store(src.generation.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+    ix->edges_built_once = src.edges_built_once;
+    ix->topo_built_once = src.topo_built_once;
+    ix->node_of_name = src.node_of_name;
+    ix->in_offsets = src.in_offsets;
+    ix->in_ids = src.in_ids;
+    ix->out_offsets = src.out_offsets;
+    ix->out_ids = src.out_ids;
+    ix->op_types = src.op_types.clone();
+    ix->node_op_type = src.node_op_type;
+    ix->type_offsets = src.type_offsets;
+    ix->type_list = src.type_list;
+    ix->producer_of = src.producer_of;
+    ix->consumer_offsets = src.consumer_offsets;
+    ix->consumer_list = src.consumer_list;
+    ix->topo = src.topo;
+    ix->edges_valid.store(src.edges_valid.load(std::memory_order_acquire),
+                          std::memory_order_relaxed);
+    ix->topo_valid.store(src.topo_valid.load(std::memory_order_acquire),
+                         std::memory_order_relaxed);
+    return ix;
+  }
 };
 
 // --- lifecycle ---------------------------------------------------------------
@@ -51,80 +84,18 @@ Graph::Graph(std::string name) : name_(std::move(name)) { init_index(); }
 
 Graph::~Graph() = default;
 
-void Graph::init_index() { index_ = std::make_unique<Index>(); }
+void Graph::init_index() { index_ = std::make_shared<Index>(); }
 
 Graph::Graph(const Graph& other)
     : name_(other.name_),
       nodes_(other.nodes_),
-      tensors_(other.tensors_),
       inputs_(other.inputs_),
       outputs_(other.outputs_) {
+  // A fresh pool, interned tensors first (in name order), then node names
+  // and edges, then graph I/O — ids independent of the source's history.
   init_index();
-  rebuild_eager_tables();
-}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) {
-    return *this;
-  }
-  name_ = other.name_;
-  nodes_ = other.nodes_;
-  tensors_ = other.tensors_;
-  inputs_ = other.inputs_;
-  outputs_ = other.outputs_;
-  init_index();
-  rebuild_eager_tables();
-  return *this;
-}
-
-Graph::Graph(Graph&& other) noexcept
-    : name_(std::move(other.name_)),
-      nodes_(std::move(other.nodes_)),
-      tensors_(std::move(other.tensors_)),
-      inputs_(std::move(other.inputs_)),
-      outputs_(std::move(other.outputs_)),
-      names_(std::move(other.names_)),
-      desc_of_(std::move(other.desc_of_)),
-      is_output_(std::move(other.is_output_)),
-      index_(std::move(other.index_)) {
-  // Leave the source a valid empty graph rather than a nullptr-index husk.
-  other.init_index();
-}
-
-Graph& Graph::operator=(Graph&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  name_ = std::move(other.name_);
-  nodes_ = std::move(other.nodes_);
-  tensors_ = std::move(other.tensors_);
-  inputs_ = std::move(other.inputs_);
-  outputs_ = std::move(other.outputs_);
-  names_ = std::move(other.names_);
-  desc_of_ = std::move(other.desc_of_);
-  is_output_ = std::move(other.is_output_);
-  index_ = std::move(other.index_);
-  other.init_index();
-  return *this;
-}
-
-// --- eager tables ------------------------------------------------------------
-
-TensorId Graph::intern_name(std::string_view name) const {
-  const TensorId id = names_.intern(name);
-  if (static_cast<size_t>(id) >= desc_of_.size()) {
-    desc_of_.resize(static_cast<size_t>(id) + 1, nullptr);
-    is_output_.resize(static_cast<size_t>(id) + 1, 0);
-  }
-  return id;
-}
-
-void Graph::rebuild_eager_tables() {
-  names_.clear();
-  desc_of_.clear();
-  is_output_.clear();
-  for (auto& [tensor_name, desc] : tensors_) {
-    desc_of_[static_cast<size_t>(intern_name(tensor_name))] = &desc;
+  for (const auto& [tensor_name, desc] : other.tensors()) {
+    store_desc(intern_name(tensor_name), desc);
   }
   for (const Node& n : nodes()) {
     intern_name(n.name);
@@ -143,47 +114,95 @@ void Graph::rebuild_eager_tables() {
   }
 }
 
+Graph& Graph::operator=(const Graph& other) {
+  if (this != &other) {
+    *this = Graph(other);
+  }
+  return *this;
+}
+
+Graph::Graph(Graph&& other) noexcept
+    : name_(std::move(other.name_)),
+      nodes_(std::move(other.nodes_)),
+      inputs_(std::move(other.inputs_)),
+      outputs_(std::move(other.outputs_)),
+      names_(std::move(other.names_)),
+      descs_(std::move(other.descs_)),
+      is_output_(std::move(other.is_output_)),
+      index_(std::move(other.index_)) {
+  // Leave the source a valid empty graph rather than a nullptr-index husk.
+  other.init_index();
+}
+
+Graph& Graph::operator=(Graph&& other) noexcept {
+  if (this == &other) {
+    return *this;
+  }
+  name_ = std::move(other.name_);
+  nodes_ = std::move(other.nodes_);
+  inputs_ = std::move(other.inputs_);
+  outputs_ = std::move(other.outputs_);
+  names_ = std::move(other.names_);
+  descs_ = std::move(other.descs_);
+  is_output_ = std::move(other.is_output_);
+  index_ = std::move(other.index_);
+  other.init_index();
+  return *this;
+}
+
+// --- eager tables ------------------------------------------------------------
+
+TensorId Graph::intern_name(std::string_view name) const {
+  const TensorId id = names_.intern(name);
+  if (static_cast<size_t>(id) >= descs_.size()) {
+    descs_.grow_to(static_cast<size_t>(id) + 1);
+    is_output_.resize(static_cast<size_t>(id) + 1, 0);
+  }
+  return id;
+}
+
+void Graph::store_desc(TensorId id, TensorDesc desc) {
+  std::optional<TensorDesc>& slot = descs_[static_cast<size_t>(id)];
+  if (!slot.has_value()) {
+    invalidate_tensor_order();
+  }
+  slot = std::move(desc);
+}
+
 // --- construction ------------------------------------------------------------
 
 NodeId Graph::add_node(Node node) {
   PROOF_CHECK(!node.name.empty(), "node must have a name");
   PROOF_CHECK(!node.op_type.empty(), "node '" << node.name << "' must have an op_type");
+  // First, so a shared index is left (not copied) before the outputs below
+  // are declared.
+  invalidate_structure();
   intern_name(node.name);
   for (const std::string& in : node.inputs) {
     intern_name(in);
   }
   for (const std::string& out : node.outputs) {
     const TensorId tid = intern_name(out);
-    if (desc_of_[static_cast<size_t>(tid)] == nullptr) {
-      TensorDesc desc;
-      desc.name = out;
-      const auto it = tensors_.emplace(out, std::move(desc)).first;
-      desc_of_[static_cast<size_t>(tid)] = &it->second;
+    if (!descs_[static_cast<size_t>(tid)].has_value()) {
+      store_desc(tid, TensorDesc{});
     }
   }
   detach_nodes();
   nodes_->push_back(std::move(node));
-  invalidate_structure();
   return static_cast<NodeId>(num_nodes() - 1);
 }
 
-void Graph::set_tensor(TensorDesc desc) {
-  PROOF_CHECK(!desc.name.empty(), "tensor must have a name");
-  const TensorId tid = intern_name(desc.name);
-  std::string key = desc.name;
-  const auto it = tensors_.insert_or_assign(std::move(key), std::move(desc)).first;
-  // std::map nodes are address-stable, so this pointer survives unrelated
-  // inserts; overwriting an existing entry reuses the node (and the pointer).
-  desc_of_[static_cast<size_t>(tid)] = &it->second;
+void Graph::set_tensor(std::string_view name, TensorDesc desc) {
+  PROOF_CHECK(!name.empty(), "tensor must have a name");
+  store_desc(intern_name(name), std::move(desc));
 }
 
-void Graph::add_param(const std::string& name, DType dtype, Shape shape) {
+void Graph::add_param(std::string_view name, DType dtype, Shape shape) {
   TensorDesc desc;
-  desc.name = name;
   desc.dtype = dtype;
   desc.shape = std::move(shape);
   desc.is_param = true;
-  set_tensor(std::move(desc));
+  set_tensor(name, std::move(desc));
 }
 
 void Graph::add_input(const std::string& tensor_name) {
@@ -203,10 +222,31 @@ void Graph::add_output(const std::string& tensor_name) {
 // --- invalidation / rebuild --------------------------------------------------
 
 void Graph::invalidate_structure() {
-  Index& ix = *index_;
-  ix.edges_valid.store(false, std::memory_order_release);
-  ix.topo_valid.store(false, std::memory_order_release);
-  ix.generation.fetch_add(1, std::memory_order_relaxed);
+  const Index& old = *index_;
+  const uint64_t generation = old.generation.load(std::memory_order_relaxed) + 1;
+  if (index_.use_count() > 1) {
+    // Shared with a clone: leave it to the other holders and start a fresh
+    // one (everything in it is about to be rebuilt anyway).
+    auto fresh = std::make_shared<Index>();
+    fresh->edges_built_once = old.edges_built_once;
+    fresh->topo_built_once = old.topo_built_once;
+    index_ = std::move(fresh);
+  } else {
+    index_->edges_valid.store(false, std::memory_order_release);
+    index_->topo_valid.store(false, std::memory_order_release);
+  }
+  index_->generation.store(generation, std::memory_order_relaxed);
+}
+
+void Graph::invalidate_tensor_order() {
+  if (!index_->order_valid.load(std::memory_order_acquire)) {
+    return;
+  }
+  if (index_.use_count() > 1) {
+    index_ = Index::copy_structure(*index_);  // order_valid starts false
+  } else {
+    index_->order_valid.store(false, std::memory_order_release);
+  }
 }
 
 uint64_t Graph::index_generation() const {
@@ -377,56 +417,51 @@ const Graph::Index& Graph::ensure_topo() const {
   return ix;
 }
 
-void Graph::warm_indices() const { (void)ensure_topo(); }
+const Graph::Index& Graph::ensure_tensor_order() const {
+  Index& ix = *index_;
+  if (ix.order_valid.load(std::memory_order_acquire)) {
+    return ix;
+  }
+  std::lock_guard<std::mutex> lock(ix.mutex);
+  if (!ix.order_valid.load(std::memory_order_relaxed)) {
+    ix.tensor_order.clear();
+    for (size_t id = 0; id < descs_.size(); ++id) {
+      if (descs_[id].has_value()) {
+        ix.tensor_order.push_back(static_cast<TensorId>(id));
+      }
+    }
+    const auto by_name = [this](TensorId a, TensorId b) {
+      return names_.view(a) < names_.view(b);
+    };
+    // A plain copy interns its tensors in name order, so its ids already are.
+    if (!std::is_sorted(ix.tensor_order.begin(), ix.tensor_order.end(), by_name)) {
+      std::sort(ix.tensor_order.begin(), ix.tensor_order.end(), by_name);
+    }
+    ix.order_valid.store(true, std::memory_order_release);
+  }
+  return ix;
+}
+
+void Graph::warm_indices() const {
+  (void)ensure_topo();
+  (void)ensure_tensor_order();
+}
 
 Graph Graph::clone_warm() const {
-  Graph g;
-  g.name_ = name_;
+  warm_indices();
+  Graph g(name_);
   g.nodes_ = nodes_;  // copy-on-write: detach_nodes() copies on first write
-  {
-    PROOF_SPAN("graph.clone.tensors");
-    g.tensors_ = tensors_;
-  }
   g.inputs_ = inputs_;
   g.outputs_ = outputs_;
-  // Eager tables: clone the interner id-for-id and re-point the descriptor
-  // table at the copy's own tensor map (map nodes are address-stable).
-  // Interned ids cached against the source (plan-cache kernel boundary ids)
-  // stay valid in the clone.
+  // Ids are preserved, so everything cached against the source's ids (the
+  // shared index, plan-frozen boundaries and mapping ids) holds in the copy.
+  g.names_ = names_.clone();
   {
-    PROOF_SPAN("graph.clone.pool");
-    g.names_ = names_.clone();
+    PROOF_SPAN("graph.clone.tensors");
+    g.descs_ = descs_;
   }
   g.is_output_ = is_output_;
-  {
-    PROOF_SPAN("graph.clone.descs");
-    g.desc_of_.assign(desc_of_.size(), nullptr);
-    for (auto& [tensor_name, desc] : g.tensors_) {
-      g.desc_of_[static_cast<size_t>(g.names_.find(tensor_name))] = &desc;
-    }
-  }
-  warm_indices();
-  // Lazy index: every id in the source's CSR arrays is valid verbatim in the
-  // copy because the cloned pool preserved the numbering.
-  const Index& src = *index_;
-  Index& dst = *g.index_;
-  dst.node_of_name = src.node_of_name;
-  dst.in_offsets = src.in_offsets;
-  dst.in_ids = src.in_ids;
-  dst.out_offsets = src.out_offsets;
-  dst.out_ids = src.out_ids;
-  dst.op_types = src.op_types.clone();
-  dst.node_op_type = src.node_op_type;
-  dst.type_offsets = src.type_offsets;
-  dst.type_list = src.type_list;
-  dst.producer_of = src.producer_of;
-  dst.consumer_offsets = src.consumer_offsets;
-  dst.consumer_list = src.consumer_list;
-  dst.topo = src.topo;
-  dst.edges_built_once = true;
-  dst.topo_built_once = true;
-  dst.edges_valid.store(true, std::memory_order_release);
-  dst.topo_valid.store(true, std::memory_order_release);
+  g.index_ = index_;  // warm and shared; see invalidate_structure()
   return g;
 }
 
@@ -466,20 +501,21 @@ void Graph::detach_nodes() {
 }
 
 bool Graph::has_tensor(std::string_view name) const {
-  const TensorId id = names_.find(name);
-  return id != kInvalidTensor && desc_of_[static_cast<size_t>(id)] != nullptr;
+  return has_tensor(names_.find(name));
 }
 
 const TensorDesc& Graph::tensor(std::string_view name) const {
   const TensorId id = names_.find(name);
-  const TensorDesc* desc =
-      id == kInvalidTensor ? nullptr : desc_of_[static_cast<size_t>(id)];
-  PROOF_CHECK(desc != nullptr, "unknown tensor '" << name << "'");
-  return *desc;
+  PROOF_CHECK(has_tensor(id), "unknown tensor '" << name << "'");
+  return *descs_[static_cast<size_t>(id)];
 }
 
 TensorDesc& Graph::tensor(std::string_view name) {
   return const_cast<TensorDesc&>(std::as_const(*this).tensor(name));
+}
+
+Graph::TensorView Graph::tensors() const {
+  return TensorView(*this, ensure_tensor_order().tensor_order);
 }
 
 TensorId Graph::tensor_id(std::string_view name) const { return names_.find(name); }
@@ -489,13 +525,13 @@ std::string_view Graph::tensor_name(TensorId id) const { return names_.view(id);
 size_t Graph::num_tensor_ids() const { return names_.size(); }
 
 bool Graph::has_tensor(TensorId id) const {
-  return id >= 0 && static_cast<size_t>(id) < desc_of_.size() &&
-         desc_of_[static_cast<size_t>(id)] != nullptr;
+  return id >= 0 && static_cast<size_t>(id) < descs_.size() &&
+         descs_[static_cast<size_t>(id)].has_value();
 }
 
 const TensorDesc& Graph::tensor(TensorId id) const {
   PROOF_CHECK(has_tensor(id), "unknown tensor id " << id);
-  return *desc_of_[static_cast<size_t>(id)];
+  return *descs_[static_cast<size_t>(id)];
 }
 
 TensorDesc& Graph::tensor(TensorId id) {
@@ -503,11 +539,7 @@ TensorDesc& Graph::tensor(TensorId id) {
 }
 
 bool Graph::tensor_is_param(TensorId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= desc_of_.size()) {
-    return false;
-  }
-  const TensorDesc* desc = desc_of_[static_cast<size_t>(id)];
-  return desc != nullptr && desc->is_param;
+  return has_tensor(id) && descs_[static_cast<size_t>(id)]->is_param;
 }
 
 bool Graph::is_graph_output(TensorId id) const {
@@ -655,8 +687,7 @@ std::optional<std::vector<NodeId>> Graph::subgraph_by_io_ids(
       if (stop[tid]) {
         continue;  // boundary input: stop the walk here
       }
-      const TensorDesc* desc = desc_of_[tid];
-      if (desc != nullptr && desc->is_param) {
+      if (descs_[tid].has_value() && descs_[tid]->is_param) {
         continue;  // params live inside the subgraph
       }
       const NodeId p = ix.producer_of[tid];
@@ -723,8 +754,7 @@ Graph::BoundaryIds Graph::boundary_ids(std::span<const NodeId> node_set) const {
         continue;
       }
       seen[tid] = 1;
-      const TensorDesc* desc = desc_of_[tid];
-      if (desc != nullptr && desc->is_param) {
+      if (descs_[tid].has_value() && descs_[tid]->is_param) {
         result.params.push_back(static_cast<TensorId>(tid));
       } else {
         result.inputs.push_back(static_cast<TensorId>(tid));
@@ -776,9 +806,9 @@ void Graph::validate() const {
 
 int64_t Graph::param_bytes() const {
   int64_t total = 0;
-  for (const auto& [tensor_name, desc] : tensors_) {
-    if (desc.is_param) {
-      total += desc.size_bytes();
+  for (size_t id = 0; id < descs_.size(); ++id) {
+    if (descs_[id].has_value() && descs_[id]->is_param) {
+      total += descs_[id]->size_bytes();
     }
   }
   return total;
@@ -786,9 +816,9 @@ int64_t Graph::param_bytes() const {
 
 int64_t Graph::param_count() const {
   int64_t total = 0;
-  for (const auto& [tensor_name, desc] : tensors_) {
-    if (desc.is_param) {
-      total += desc.numel();
+  for (size_t id = 0; id < descs_.size(); ++id) {
+    if (descs_[id].has_value() && descs_[id]->is_param) {
+      total += descs_[id]->numel();
     }
   }
   return total;

@@ -11,23 +11,30 @@
 // first sight, so the analysis hot path (fusion, lowering, layer mapping,
 // Equation-1 memory prediction) works on dense int32 ids instead of
 // std::string map keys.  Two tiers of index exist:
-//   * eager — the name pool, the TensorId -> TensorDesc table and the
+//   * eager — the name pool, the dense TensorId -> TensorDesc table and the
 //     graph-output flags are maintained incrementally on every mutation and
-//     are always current;
+//     are always current.  Names live only in the pool: a TensorDesc carries
+//     dtype, shape and the param flag, nothing else;
 //   * lazy  — producer-of, the CSR consumers adjacency, node-by-name,
-//     per-type node buckets and the cached topological order are rebuilt on
-//     first query after a structural mutation (add_node, mutable_node()).
-//     Reads never invalidate: node() is const-only.  Rebuilds are serialized
-//     behind a mutex with double-checked atomic validity flags, so concurrent
-//     *const* lookups on a shared graph are safe once no thread mutates it
-//     (call warm_indices() before fanning a graph out to a thread pool to
-//     keep the hot path lock-free).
+//     per-type node buckets, the cached topological order and the name-sorted
+//     tensor order are rebuilt on first query after a mutation that changes
+//     them (add_node, mutable_node(), declaring a new tensor).  Reads never
+//     invalidate: node() is const-only.  Rebuilds are serialized behind a
+//     mutex with double-checked atomic validity flags, so concurrent *const*
+//     lookups on a shared graph are safe once no thread mutates it (call
+//     warm_indices() before fanning a graph out to a thread pool to keep the
+//     hot path lock-free).
+//
+// Copy-on-write: the node list, the name pool and the warm lazy index are
+// shared between a graph and its clone_warm() copies; only the descriptor
+// table (dtype + shape per tensor) is copied.  A write detaches just the part
+// it changes (see clone_warm).
 //
 // There is one lookup path.  tests/test_graph_index.cpp checks it against a
 // brute-force oracle built from linear scans over nodes()/tensors().
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -35,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "graph/desc_table.hpp"
 #include "graph/node.hpp"
 #include "graph/string_pool.hpp"
 #include "tensor/tensor.hpp"
@@ -70,11 +78,11 @@ class Graph {
   /// Adds a node; all of its output tensors get placeholder descs if unknown.
   NodeId add_node(Node node);
 
-  /// Declares/overwrites a tensor description.
-  void set_tensor(TensorDesc desc);
+  /// Declares/overwrites the description of tensor `name`.
+  void set_tensor(std::string_view name, TensorDesc desc);
 
   /// Declares a model parameter (weight) tensor.
-  void add_param(const std::string& name, DType dtype, Shape shape);
+  void add_param(std::string_view name, DType dtype, Shape shape);
 
   /// Marks graph-level inputs/outputs.
   void add_input(const std::string& tensor_name);
@@ -100,14 +108,53 @@ class Graph {
   [[nodiscard]] Node& mutable_node(NodeId id);
   [[nodiscard]] size_t num_nodes() const { return nodes().size(); }
 
-  /// Ordered tensor table (deterministic iteration for serialization).
-  /// Lookups go through the interned-name index, never through this map.
-  using TensorMap = std::map<std::string, TensorDesc, std::less<>>;
+  /// One declared tensor: its interned name and its descriptor.
+  struct TensorEntry {
+    std::string_view name;
+    const TensorDesc& desc;
+  };
+  /// Every declared tensor in name order (deterministic iteration for
+  /// serialization and fingerprints); `for (const auto& [name, desc] : ...)`.
+  /// Lookups go through the interned-name index, never through this view.
+  class TensorView {
+   public:
+    class iterator {
+     public:
+      using value_type = TensorEntry;
+      using difference_type = std::ptrdiff_t;
+      iterator() = default;
+      iterator(const Graph* g, const TensorId* at) : g_(g), at_(at) {}
+      TensorEntry operator*() const { return {g_->tensor_name(*at_), g_->tensor(*at_)}; }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++at_;
+        return old;
+      }
+      bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+     private:
+      const Graph* g_ = nullptr;
+      const TensorId* at_ = nullptr;
+    };
+    TensorView(const Graph& g, std::span<const TensorId> order) : g_(&g), order_(order) {}
+    [[nodiscard]] iterator begin() const { return {g_, order_.data()}; }
+    [[nodiscard]] iterator end() const { return {g_, order_.data() + order_.size()}; }
+    [[nodiscard]] size_t size() const { return order_.size(); }
+
+   private:
+    const Graph* g_;
+    std::span<const TensorId> order_;
+  };
 
   [[nodiscard]] bool has_tensor(std::string_view name) const;
   [[nodiscard]] const TensorDesc& tensor(std::string_view name) const;
   [[nodiscard]] TensorDesc& tensor(std::string_view name);
-  [[nodiscard]] const TensorMap& tensors() const { return tensors_; }
+  /// Valid until the next tensor declaration or structural mutation.
+  [[nodiscard]] TensorView tensors() const;
 
   [[nodiscard]] const std::vector<std::string>& inputs() const { return inputs_; }
   [[nodiscard]] const std::vector<std::string>& outputs() const { return outputs_; }
@@ -123,8 +170,8 @@ class Graph {
 
   [[nodiscard]] bool has_tensor(TensorId id) const;
   [[nodiscard]] const TensorDesc& tensor(TensorId id) const;
-  /// Writable descriptor by id (in-place shape inference); the name, and so
-  /// the map key, must not change through it.
+  /// Writable descriptor by id (in-place shape inference).  Descriptor
+  /// references, by id or by name, stay valid for the graph's lifetime.
   [[nodiscard]] TensorDesc& tensor(TensorId id);
   /// True when the tensor exists and is a model parameter.
   [[nodiscard]] bool tensor_is_param(TensorId id) const;
@@ -207,22 +254,24 @@ class Graph {
 
   // --- index lifecycle ------------------------------------------------------
 
-  /// Builds every lazy index (edges, type buckets, topo order) now, so later
-  /// const lookups from concurrent threads are pure reads.
+  /// Builds every lazy index (edges, type buckets, topo order, tensor
+  /// order) now, so later const lookups from concurrent threads are pure
+  /// reads.
   void warm_indices() const;
 
   /// Copy that *keeps* the source's warm lookup state instead of resetting
-  /// it: the name pool is cloned id-for-id, the eager tables are re-pointed
-  /// at the copy's own tensor map, and the lazy structural index (CSR
-  /// adjacency, type buckets, topo order) is duplicated already-valid.
-  /// Skips the ~O(names) re-interning and the first-query index rebuild the
-  /// plain copy constructor pays — the win the plan cache's per-cell skeleton
-  /// instantiation is built on.  Safe to call concurrently from readers of a
-  /// warmed graph (all pure reads).  Interned ids are preserved.
-  ///
-  /// The node list is shared copy-on-write (so is the plain copy's): both
-  /// graphs read one list until either takes mutable_nodes(),
-  /// mutable_node() or add_node(), which detach it onto a private copy.
+  /// it, copying only the descriptor table (one dtype + shape per tensor,
+  /// shapes stored inline).  Everything structural is shared copy-on-write:
+  ///   * the name pool (ids preserved; the first intern of a new name
+  ///     detaches it, see StringPool);
+  ///   * the warm lazy index (CSR adjacency, type buckets, topo order,
+  ///     tensor order) — add_node(), mutable_node() and declaring a new
+  ///     tensor move the writer onto its own index;
+  ///   * the node list — mutable_nodes(), mutable_node() and add_node()
+  ///     detach it (the plain copy shares it too).
+  /// No name is copied or hashed, which is what the plan cache's per-cell
+  /// skeleton instantiation is built on.  Safe to call concurrently from
+  /// readers of a warmed graph (all pure reads).
   [[nodiscard]] Graph clone_warm() const;
 
   /// Monotonic counter bumped on every structural invalidation; lets callers
@@ -233,16 +282,20 @@ class Graph {
   struct Index;
 
   void init_index();
-  /// Re-interns all tensor names / graph outputs after a copy.
-  void rebuild_eager_tables();
   /// Interns `name` and keeps the eager id-indexed tables sized.  Const
   /// because lazy rebuilds may intern names edited through mutable_node().
   TensorId intern_name(std::string_view name) const;
+  /// Declares tensor `id` with `desc`, or overwrites its descriptor.
+  void store_desc(TensorId id, TensorDesc desc);
   void invalidate_structure();
+  /// A tensor was declared: the name-sorted order is stale.
+  void invalidate_tensor_order();
   /// Double-checked lazy build of the structural (edge) index.
   const Index& ensure_edges() const;
   /// As above plus the cached topological order.
   const Index& ensure_topo() const;
+  /// Double-checked lazy build of the name-sorted tensor order.
+  const Index& ensure_tensor_order() const;
   void rebuild_edges(Index& ix) const;
   void rebuild_topo(Index& ix) const;
 
@@ -255,19 +308,19 @@ class Graph {
   // Copy-on-write node list: null for an empty graph, shared between a graph
   // and its copies until one of them writes (detach_nodes).
   std::shared_ptr<std::vector<Node>> nodes_;
-  TensorMap tensors_;
   std::vector<std::string> inputs_;
   std::vector<std::string> outputs_;
 
-  // Eager name table: interner + id-indexed views of tensors_ (std::map
-  // nodes are address-stable, so the pointers survive unrelated inserts).
+  // Eager name table: the interner (copy-on-write) and the dense
+  // per-TensorId tables.  Node names take ids too; their slots hold no desc.
   mutable StringPool names_;
-  mutable std::vector<TensorDesc*> desc_of_;     ///< by TensorId; null = no desc
-  mutable std::vector<uint8_t> is_output_;       ///< by TensorId
+  mutable DescTable descs_;                 ///< by TensorId
+  mutable std::vector<uint8_t> is_output_;  ///< by TensorId
 
-  // Lazy structural index; see graph.cpp.  unique_ptr so the atomics and
-  // mutex inside don't block Graph's move operations.
-  mutable std::unique_ptr<Index> index_;
+  // Lazy index; see graph.cpp.  Shared by clone_warm() copies until one of
+  // them writes (shared_ptr also keeps the atomics and mutex inside out of
+  // Graph's move operations).
+  mutable std::shared_ptr<Index> index_;
 };
 
 }  // namespace proof

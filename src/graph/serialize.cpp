@@ -147,11 +147,10 @@ Graph graph_from_text(const std::string& text) {
         std::string name, dtype, shape, role;
         fields >> name >> dtype >> shape >> role;
         TensorDesc desc;
-        desc.name = name;
         desc.dtype = dtype_from_name(dtype);
         desc.shape = shape_from_text(shape);
         desc.is_param = (role == "param");
-        graph.set_tensor(std::move(desc));
+        graph.set_tensor(name, std::move(desc));
       } else if (kind == "node") {
         Node node;
         fields >> node.name >> node.op_type;

@@ -136,6 +136,7 @@ LayerMapping map_layers(const backends::Engine& engine,
   mapping.entries.reserve(engine.layers().size());
 
   for (const backends::BackendLayer& layer : engine.layers()) {
+    const backends::LayerLabels& labels = *layer.labels;
     LayerMapEntry entry;
     entry.backend_layer = layer.name;
 
@@ -143,9 +144,9 @@ LayerMapping map_layers(const backends::Engine& engine,
       // Conversion layer: its output tensor is a renamed copy of its input;
       // register the alias so downstream I/O searches resolve (Figure 2's
       // set_tensor_alias step).
-      if (layer.input_tensors.size() == 1 && layer.output_tensors.size() == 1 &&
-          layer.input_tensors[0] != layer.output_tensors[0]) {
-        oar.set_tensor_alias(layer.input_tensors[0], layer.output_tensors[0]);
+      if (labels.input_tensors.size() == 1 && labels.output_tensors.size() == 1 &&
+          labels.input_tensors[0] != labels.output_tensors[0]) {
+        oar.set_tensor_alias(labels.input_tensors[0], labels.output_tensors[0]);
       }
       entry.method = MapMethod::kBackendInserted;
       mapping.entries.push_back(std::move(entry));
@@ -156,14 +157,14 @@ LayerMapping map_layers(const backends::Engine& engine,
     MapMethod method = MapMethod::kUnmapped;
 
     // Rung 1/2: name metadata.
-    if (!layer.info.empty()) {
-      const NodeId exact = g.find_node(layer.info);
+    if (!labels.info.empty()) {
+      const NodeId exact = g.find_node(labels.info);
       if (exact != kInvalidNode && !oar.is_fused(exact)) {
         members = std::vector<NodeId>{exact};
         method = MapMethod::kExactName;
       } else {
         for (const char* sep : {"+", ","}) {
-          auto ids = resolve_name_list(g, layer.info, sep);
+          auto ids = resolve_name_list(g, labels.info, sep);
           if (ids.has_value()) {
             bool clean = true;
             for (const NodeId id : *ids) {
@@ -181,7 +182,7 @@ LayerMapping map_layers(const backends::Engine& engine,
 
     // Rung 3: I/O subgraph search.
     if (!members.has_value()) {
-      members = oar.get_subgraph_ops_by_io(layer.input_tensors, layer.output_tensors);
+      members = oar.get_subgraph_ops_by_io(labels.input_tensors, labels.output_tensors);
       if (members.has_value()) {
         method = MapMethod::kIoSearch;
       }
@@ -190,7 +191,7 @@ LayerMapping map_layers(const backends::Engine& engine,
     // Rung 4: dependency-context inference.
     if (!members.has_value()) {
       std::vector<NodeId> walked =
-          dependency_walk(oar, layer.input_tensors, layer.output_tensors);
+          dependency_walk(oar, labels.input_tensors, labels.output_tensors);
       if (!walked.empty()) {
         members = std::move(walked);
         method = MapMethod::kDependencyInference;
@@ -223,56 +224,62 @@ LayerMapping map_layers(const backends::Engine& engine,
   return mapping;
 }
 
+ResolvedMapping resolve_mapping(const Graph& g, const LayerMapping& mapping) {
+  ResolvedMapping out;
+  out.node_ids.reserve(mapping.entries.size());
+  out.boundaries.reserve(mapping.entries.size());
+  for (const LayerMapEntry& entry : mapping.entries) {
+    std::vector<NodeId> ids;
+    ids.reserve(entry.model_nodes.size());
+    for (const std::string& name : entry.model_nodes) {
+      const NodeId id = g.find_node(name);
+      if (id == kInvalidNode) {
+        throw ModelError("resolve_mapping: model node '" + name +
+                         "' not present in this graph");
+      }
+      ids.push_back(id);
+    }
+    out.boundaries.push_back(ids.size() > 1 ? g.boundary_ids(ids) : Graph::BoundaryIds{});
+    out.node_ids.push_back(std::move(ids));
+  }
+  return out;
+}
+
 void apply_mapping(const backends::Engine& engine,
                    OptimizedAnalyzeRepresentation& oar,
                    const LayerMapping& mapping,
-                   const std::vector<std::vector<NodeId>>* member_ids) {
+                   const std::vector<std::vector<NodeId>>& member_ids) {
   PROOF_SPAN("mapping.apply");
-  const Graph& g = oar.base().graph();
   if (mapping.entries.size() != engine.layers().size()) {
     throw ModelError("apply_mapping: mapping has " +
                      std::to_string(mapping.entries.size()) + " entries but engine has " +
                      std::to_string(engine.layers().size()) + " layers");
   }
-  PROOF_CHECK(member_ids == nullptr || member_ids->size() == mapping.entries.size(),
+  PROOF_CHECK(member_ids.size() == mapping.entries.size(),
               "apply_mapping: member_ids/entry count mismatch");
   for (size_t i = 0; i < mapping.entries.size(); ++i) {
-    const LayerMapEntry& entry = mapping.entries[i];
     const backends::BackendLayer& layer = engine.layers()[i];
-    if (member_ids == nullptr && entry.backend_layer != layer.name) {
-      throw ModelError("apply_mapping: layer " + std::to_string(i) + " is '" +
-                       layer.name + "' but mapping expects '" +
-                       entry.backend_layer + "'");
-    }
     if (layer.is_reorder) {
       // Same alias registration map_layers performs for conversion layers.
-      if (layer.input_tensors.size() == 1 && layer.output_tensors.size() == 1 &&
-          layer.input_tensors[0] != layer.output_tensors[0]) {
-        oar.set_tensor_alias(layer.input_tensors[0], layer.output_tensors[0]);
+      const backends::LayerLabels& labels = *layer.labels;
+      if (labels.input_tensors.size() == 1 && labels.output_tensors.size() == 1 &&
+          labels.input_tensors[0] != labels.output_tensors[0]) {
+        oar.set_tensor_alias(labels.input_tensors[0], labels.output_tensors[0]);
       }
       continue;
     }
-    if (entry.model_nodes.empty()) {
-      continue;  // was unmapped; stays unmapped
+    if (!member_ids[i].empty()) {  // an unmapped entry stays unmapped
+      oar.set_fused_op(layer.name, member_ids[i]);
     }
-    if (member_ids != nullptr) {
-      // Ids pre-resolved from these entries at plan-build time against the
-      // same node numbering; the lookups below would reproduce them exactly.
-      oar.set_fused_op(layer.name, (*member_ids)[i]);
-      continue;
-    }
-    std::vector<NodeId> members;
-    members.reserve(entry.model_nodes.size());
-    for (const std::string& name : entry.model_nodes) {
-      const NodeId id = g.find_node(name);
-      if (id == kInvalidNode) {
-        throw ModelError("apply_mapping: model node '" + name +
-                         "' not present in this graph");
-      }
-      members.push_back(id);
-    }
-    oar.set_fused_op(layer.name, members);
   }
+}
+
+void apply_mapping(const backends::Engine& engine,
+                   OptimizedAnalyzeRepresentation& oar,
+                   const LayerMapping& mapping,
+                   const std::vector<std::vector<NodeId>>* member_ids) {
+  PROOF_CHECK(member_ids != nullptr, "apply_mapping: member_ids is null");
+  apply_mapping(engine, oar, mapping, *member_ids);
 }
 
 size_t verify_against_truth(const LayerMapping& mapping,
@@ -281,7 +288,7 @@ size_t verify_against_truth(const LayerMapping& mapping,
               "mapping/layer count mismatch");
   size_t mismatches = 0;
   for (size_t i = 0; i < mapping.entries.size(); ++i) {
-    const auto& truth = engine.layers()[i].truth_nodes;
+    const auto& truth = engine.layers()[i].labels->truth_nodes;
     std::set<std::string> expected(truth.begin(), truth.end());
     std::set<std::string> actual(mapping.entries[i].model_nodes.begin(),
                                  mapping.entries[i].model_nodes.end());

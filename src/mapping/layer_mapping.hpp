@@ -57,26 +57,38 @@ struct LayerMapping {
 [[nodiscard]] LayerMapping map_layers(const backends::Engine& engine,
                                       OptimizedAnalyzeRepresentation& oar);
 
+/// A mapping's entries resolved against one graph: per entry, the mapped
+/// model node ids and, for entries of more than one node, the node set's
+/// boundary tensors (Graph::boundary_ids).  Both are structural, so they hold
+/// on every clone_warm() of that graph and on every graph instantiated from
+/// the same AnalysisPlan.
+struct ResolvedMapping {
+  std::vector<std::vector<NodeId>> node_ids;
+  std::vector<Graph::BoundaryIds> boundaries;  ///< empty for <= 1 node
+};
+
+/// Resolves every entry's model node names in `g`; throws ModelError when a
+/// name is missing.
+[[nodiscard]] ResolvedMapping resolve_mapping(const Graph& g, const LayerMapping& mapping);
+
 /// Replays a previously computed mapping onto a fresh `oar`, applying the
 /// same alias registrations and `_FusedOp` groups without re-running the
-/// mapping search.  Valid whenever `engine` has the same layer structure the
-/// mapping was computed from — in particular any batch size of the same
-/// (model, backend, platform, dtype) build (the legacy prep-cache plan
-/// level), and any engine instantiated from a frozen AnalysisPlan, where the
-/// layer list is replayed from recipes and therefore structurally identical
-/// by construction (core/analysis_plan.hpp).  Throws ModelError when the
-/// layer lists do not line up.
-///
-/// `member_ids` (optional) is a plan-derived shortcut: per-entry model node
-/// ids pre-resolved against a graph with identical node numbering (every
-/// clone_warm of the plan skeleton qualifies).  When given, the per-name
-/// find_node lookups and the name cross-checks are skipped — the ids were
-/// resolved from exactly these entries' names at plan-build time, so the
-/// applied fused-op groups are identical by construction.
+/// mapping search.  Valid for any engine instantiated from a frozen
+/// AnalysisPlan, whose layer list is replayed from recipes and therefore
+/// structurally identical by construction (core/analysis_plan.hpp).
+/// `member_ids` are the entries' model node ids resolved against a graph
+/// with the same node numbering (ResolvedMapping::node_ids; every
+/// clone_warm of the plan skeleton qualifies), so no name is looked up.
+/// Throws ModelError when the layer lists do not line up.
 void apply_mapping(const backends::Engine& engine,
                    OptimizedAnalyzeRepresentation& oar,
                    const LayerMapping& mapping,
-                   const std::vector<std::vector<NodeId>>* member_ids = nullptr);
+                   const std::vector<std::vector<NodeId>>& member_ids);
+/// The same, with the ids passed by pointer; `member_ids` must not be null.
+void apply_mapping(const backends::Engine& engine,
+                   OptimizedAnalyzeRepresentation& oar,
+                   const LayerMapping& mapping,
+                   const std::vector<std::vector<NodeId>>* member_ids);
 
 /// Test/diagnostic helper: compares a mapping against the engine's ground
 /// truth.  Returns the number of layers whose node set differs.

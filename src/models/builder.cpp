@@ -14,10 +14,9 @@ std::string GraphBuilder::fresh(const std::string& hint) {
 
 std::string GraphBuilder::input(const std::string& name, Shape shape, DType dtype) {
   TensorDesc desc;
-  desc.name = name;
   desc.dtype = dtype;
   desc.shape = std::move(shape);
-  graph_.set_tensor(std::move(desc));
+  graph_.set_tensor(name, std::move(desc));
   graph_.add_input(name);
   return name;
 }
@@ -38,8 +37,7 @@ std::string GraphBuilder::add_and_infer(Node node) {
   PROOF_CHECK(descs.size() == outputs.size(),
               "node '" << added.name << "' output arity mismatch");
   for (size_t i = 0; i < descs.size(); ++i) {
-    descs[i].name = outputs[i];
-    graph_.set_tensor(std::move(descs[i]));
+    graph_.set_tensor(outputs[i], std::move(descs[i]));
   }
   return outputs[0];
 }

@@ -103,20 +103,18 @@ class MatMulOp final : public OpDef {
     const int64_t n = b.dim(-1);
     PROOF_CHECK(k == kb, "MatMul '" << ctx.node().name << "': inner dims " << k
                                     << " vs " << kb);
-    std::vector<int64_t> a_batch(a.dims().begin(), a.dims().end() - 2);
-    std::vector<int64_t> b_batch(b.dims().begin(), b.dims().end() - 2);
-    const Shape batch = Shape::broadcast(Shape(std::move(a_batch)), Shape(std::move(b_batch)));
-    return {batch, m, k, n};
+    return {Shape::broadcast(Shape(a.dims().first(a.rank() - 2)),
+                             Shape(b.dims().first(b.rank() - 2))),
+            m, k, n};
   }
 
   [[nodiscard]] std::vector<TensorDesc> infer(const OpContext& ctx) const override {
     const Dims d = dims(ctx);
-    std::vector<int64_t> out_dims = d.batch.dims();
-    if (ctx.in_shape(0).rank() != 1) out_dims.push_back(d.m);
-    if (ctx.in_shape(1).rank() != 1) out_dims.push_back(d.n);
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
-    out.shape = Shape(std::move(out_dims));
+    out.shape = d.batch;
+    if (ctx.in_shape(0).rank() != 1) out.shape.push_back(d.m);
+    if (ctx.in_shape(1).rank() != 1) out.shape.push_back(d.n);
     return single_output(std::move(out));
   }
 
@@ -140,10 +138,8 @@ class MatMulOp final : public OpDef {
     Tensor& y = outputs[0];
     const int64_t batches = d.batch.numel();
     // Build per-operand batch shapes for broadcasting.
-    Shape a_batch(std::vector<int64_t>(ctx.in_shape(0).dims().begin(),
-                                       ctx.in_shape(0).dims().end() - 2));
-    Shape b_batch(std::vector<int64_t>(ctx.in_shape(1).dims().begin(),
-                                       ctx.in_shape(1).dims().end() - 2));
+    const Shape a_batch(ctx.in_shape(0).dims().first(ctx.in_shape(0).rank() - 2));
+    const Shape b_batch(ctx.in_shape(1).dims().first(ctx.in_shape(1).rank() - 2));
     for (int64_t batch = 0; batch < batches; ++batch) {
       const int64_t a_off = broadcast_index(d.batch, batch, a_batch) * d.m * d.k;
       const int64_t b_off = broadcast_index(d.batch, batch, b_batch) * d.k * d.n;

@@ -15,7 +15,7 @@ namespace {
 
 /// Resolves a Reshape-style target shape (may contain one -1 and 0 = copy).
 Shape resolve_reshape(const Shape& in, const std::vector<int64_t>& target) {
-  std::vector<int64_t> dims(target.size());
+  Shape out;
   int64_t known = 1;
   int infer_at = -1;
   for (size_t i = 0; i < target.size(); ++i) {
@@ -27,17 +27,20 @@ Shape resolve_reshape(const Shape& in, const std::vector<int64_t>& target) {
     if (d == -1) {
       PROOF_CHECK(infer_at < 0, "reshape: multiple -1 dims");
       infer_at = static_cast<int>(i);
+      out.push_back(0);  // placeholder, inferred below
       continue;
     }
-    dims[i] = d;
+    out.push_back(d);
     known *= d;
   }
   if (infer_at >= 0) {
     PROOF_CHECK(known != 0 && in.numel() % known == 0,
                 "reshape: cannot infer dim for " << in.to_string());
-    dims[static_cast<size_t>(infer_at)] = in.numel() / known;
+    out.set_dim(infer_at, in.numel() / known);
   }
-  Shape out(std::move(dims));
+  for (const int64_t d : out.dims()) {
+    PROOF_CHECK(d >= 0, "negative extent in shape " << out.to_string());
+  }
   PROOF_CHECK(out.numel() == in.numel(), "reshape changes element count: "
                                              << in.to_string() << " -> "
                                              << out.to_string());
@@ -188,15 +191,19 @@ class TransposeOp final : public OpDef {
 
   [[nodiscard]] std::vector<TensorDesc> infer(const OpContext& ctx) const override {
     const Shape& x = ctx.in_shape(0);
-    const auto p = perm(ctx);
-    PROOF_CHECK(p.size() == x.rank(), "Transpose perm rank mismatch");
-    std::vector<int64_t> dims(x.rank());
-    for (size_t i = 0; i < x.rank(); ++i) {
-      dims[i] = x.dim(static_cast<int>(p[i]));
-    }
     TensorDesc out;
     out.dtype = ctx.input(0).dtype;
-    out.shape = Shape(std::move(dims));
+    if (!ctx.attrs().has("perm")) {  // default: reverse the axes
+      for (size_t i = x.rank(); i > 0; --i) {
+        out.shape.push_back(x.dims()[i - 1]);
+      }
+      return single_output(std::move(out));
+    }
+    const std::vector<int64_t>& p = ctx.attrs().get_ints("perm");
+    PROOF_CHECK(p.size() == x.rank(), "Transpose perm rank mismatch");
+    for (const int64_t axis : p) {
+      out.shape.push_back(x.dim(static_cast<int>(axis)));
+    }
     return single_output(std::move(out));
   }
 

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
+#include "core/json_writer.hpp"
 #include "core/prep_cache.hpp"
 #include "obs/self_profile.hpp"
 #include "obs/span.hpp"
@@ -222,28 +222,29 @@ ServerStats Server::stats() const {
 
 std::string Server::stats_json() const {
   const ServerStats s = stats();
-  std::ostringstream out;
-  out.precision(12);
-  out << "{\"server\":{"
-      << "\"uptime_s\":" << s.uptime_s
-      << ",\"connections\":" << s.connections
-      << ",\"requests_total\":" << s.requests_total
-      << ",\"requests_ok\":" << s.requests_ok
-      << ",\"requests_error\":" << s.requests_error
-      << ",\"rejected_overloaded\":" << s.rejected_overloaded
-      << ",\"rejected_shutdown\":" << s.rejected_shutdown
-      << ",\"deadline_exceeded\":" << s.deadline_exceeded
-      << ",\"inflight\":" << s.inflight
-      << ",\"max_inflight\":" << max_inflight_
-      << ",\"draining\":" << (draining_.load() ? "true" : "false")
-      << ",\"pool_jobs\":" << ThreadPool::global().jobs() << "}";
+  const auto count = [](auto n) { return static_cast<int64_t>(n); };
+  JsonWriter out;
+  out.begin_object();
+  out.begin_object("server");
+  out.field("uptime_s", s.uptime_s);
+  out.field("connections", count(s.connections));
+  out.field("requests_total", count(s.requests_total));
+  out.field("requests_ok", count(s.requests_ok));
+  out.field("requests_error", count(s.requests_error));
+  out.field("rejected_overloaded", count(s.rejected_overloaded));
+  out.field("rejected_shutdown", count(s.rejected_shutdown));
+  out.field("deadline_exceeded", count(s.deadline_exceeded));
+  out.field("inflight", count(s.inflight));
+  out.field("max_inflight", count(max_inflight_));
+  out.field("draining", draining_.load());
+  out.field("pool_jobs", count(ThreadPool::global().jobs()));
+  out.end_object();
 
   // Per-endpoint latency distributions (empty when the obs layer is compiled
   // out or disabled at runtime — the native counters above always work).
-  out << ",\"endpoints\":{";
+  out.begin_object("endpoints");
 #ifndef PROOF_OBS_DISABLED
   if (obs::enabled()) {
-    bool first = true;
     for (const char* method : kMethods) {
       const obs::HistogramSnapshot h = obs::MetricsRegistry::instance()
                                            .histogram(std::string("serve.latency.") + method)
@@ -251,56 +252,54 @@ std::string Server::stats_json() const {
       if (h.count == 0) {
         continue;
       }
-      if (!first) {
-        out << ",";
-      }
-      first = false;
-      out << json::quote(method) << ":{"
-          << "\"count\":" << h.count
-          << ",\"mean_s\":" << h.mean_s()
-          << ",\"p50_s\":" << h.quantile_s(0.50)
-          << ",\"p99_s\":" << h.quantile_s(0.99)
-          << ",\"max_s\":" << static_cast<double>(h.max_ns) / 1e9 << "}";
+      out.begin_object(method);
+      out.field("count", count(h.count));
+      out.field("mean_s", h.mean_s());
+      out.field("p50_s", h.quantile_s(0.50));
+      out.field("p99_s", h.quantile_s(0.99));
+      out.field("max_s", static_cast<double>(h.max_ns) / 1e9);
+      out.end_object();
     }
   }
 #endif
-  out << "}";
+  out.end_object();
 
   // Shared-cache effectiveness: the reconciled ledger (lookups always equals
   // hits + misses; see docs/METRICS.md).
-  const PrepCacheStats c = PrepCache::instance().stats();
-  out << ",\"prep_cache\":{"
-      << "\"enabled\":" << (PrepCache::instance().enabled() ? "true" : "false")
-      << ",\"entries\":" << PrepCache::instance().size()
-      << ",\"capacity\":" << PrepCache::instance().capacity()
-      << ",\"engine_lookups\":" << (c.engine_hits + c.engine_misses)
-      << ",\"engine_hits\":" << c.engine_hits
-      << ",\"engine_misses\":" << c.engine_misses
-      << ",\"engine_hit_rate\":" << c.engine_hit_rate()
-      << ",\"plan_lookups\":" << (c.plan_hits + c.plan_misses)
-      << ",\"plan_hits\":" << c.plan_hits
-      << ",\"plan_misses\":" << c.plan_misses
-      << ",\"plan_hit_rate\":" << c.plan_hit_rate()
-      << ",\"evictions\":" << c.evictions << "}";
+  const PrepCache& cache = PrepCache::instance();
+  const PrepCacheStats c = cache.stats();
+  out.begin_object("prep_cache");
+  out.field("enabled", cache.enabled());
+  out.field("entries", count(cache.size()));
+  out.field("capacity", count(cache.capacity()));
+  out.field("engine_lookups", count(c.engine_hits + c.engine_misses));
+  out.field("engine_hits", count(c.engine_hits));
+  out.field("engine_misses", count(c.engine_misses));
+  out.field("engine_hit_rate", c.engine_hit_rate());
+  out.field("evictions", count(c.evictions));
+  out.end_object();
 
   // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed);
   // entries are shared by every batch size / decode position of a model, so
   // hits here are whole prepare pipelines replaced by cheap instantiations.
-  out << ",\"plan_cache\":{"
-      << "\"entries\":" << PrepCache::instance().plan_cache_size()
-      << ",\"capacity\":" << PrepCache::instance().plan_cache_capacity()
-      << ",\"hits\":" << c.plan_cache_hits
-      << ",\"misses\":" << c.plan_cache_misses
-      << ",\"evictions\":" << c.plan_cache_evictions
-      << ",\"collisions\":" << c.plan_cache_collisions
-      << ",\"build_ns\":" << c.plan_cache_build_ns << "}";
+  out.begin_object("plan_cache");
+  out.field("entries", count(cache.plan_cache_size()));
+  out.field("capacity", count(cache.plan_cache_capacity()));
+  out.field("hits", count(c.plan_cache_hits));
+  out.field("misses", count(c.plan_cache_misses));
+  out.field("evictions", count(c.plan_cache_evictions));
+  out.field("collisions", count(c.plan_cache_collisions));
+  out.field("build_ns", count(c.plan_cache_build_ns));
+  out.end_object();
 
-  out << ",\"model_pool\":{\"models\":" << models_.size() << "}";
+  out.begin_object("model_pool");
+  out.field("models", count(models_.size()));
+  out.end_object();
 
   // The full observability snapshot (already a JSON object; spliced raw).
-  out << ",\"self_profile\":" << obs::self_profile_json();
-  out << "}";
-  return out.str();
+  out.raw_field("self_profile", obs::self_profile_json());
+  out.end_object();
+  return out.take();
 }
 
 void Server::log(const std::string& line) const {

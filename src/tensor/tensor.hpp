@@ -1,7 +1,8 @@
 // Tensor descriptors and a dense reference tensor.
 //
-// TensorDesc is what the analysis layer works with: name + dtype + shape +
-// whether the tensor is a model parameter (initializer).  Tensor adds typed
+// TensorDesc is what the analysis layer works with: dtype + shape + whether
+// the tensor is a model parameter (initializer).  A tensor's name is its key
+// in the graph that declares it (Graph::set_tensor / tensor_name).  Tensor adds typed
 // storage and is only used by the reference executor in tests, so storage is
 // kept simple: everything is held as float regardless of the logical dtype.
 #pragma once
@@ -17,7 +18,6 @@ namespace proof {
 
 /// Metadata of one tensor in a model graph.
 struct TensorDesc {
-  std::string name;
   DType dtype = DType::kF32;
   Shape shape;
   /// True when the tensor is a weight/bias baked into the model.

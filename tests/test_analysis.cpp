@@ -119,7 +119,7 @@ TEST(AnalyzeRepresentation, MemoryScalesWithBatchParamsDoNot) {
 
 TEST(AnalyzeRepresentation, InvalidGraphRejected) {
   Graph g("bad");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1},
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1},
                 .is_param = false});
   g.add_input("in");
   Node n;

@@ -71,11 +71,11 @@ TEST_P(EngineInvariants, LayersPartitionModelNodes) {
   for (const BackendLayer& layer : engine.layers()) {
     if (layer.is_reorder) {
       ++reorders;
-      EXPECT_TRUE(layer.truth_nodes.empty());
+      EXPECT_TRUE(layer.labels->truth_nodes.empty());
       continue;
     }
     EXPECT_FALSE(layer.kernels.empty()) << layer.name;
-    for (const std::string& node : layer.truth_nodes) {
+    for (const std::string& node : layer.labels->truth_nodes) {
       EXPECT_TRUE(claimed.insert(node).second)
           << "node '" << node << "' in two layers";
     }
@@ -115,7 +115,7 @@ TEST(TrtSim, TransformerProducesOpaqueRegions) {
   for (const BackendLayer& layer : engine.layers()) {
     if (layer.is_opaque) {
       ++opaque;
-      EXPECT_TRUE(layer.info.empty());  // Myelin exposes no mapping info
+      EXPECT_TRUE(layer.labels->info.empty());  // Myelin exposes no mapping info
       EXPECT_NE(layer.name.find("ForeignNode"), std::string::npos);
       EXPECT_GE(layer.kernels.size(), 2u);  // split at GEMM anchors
     }
@@ -131,8 +131,8 @@ TEST(TrtSim, CnnLayersCarryNameInfo) {
   const Engine engine =
       BackendRegistry::instance().get("trt_sim").build(model, config, a100());
   for (const BackendLayer& layer : engine.layers()) {
-    if (!layer.is_reorder && !layer.is_opaque && layer.truth_nodes.size() > 1) {
-      EXPECT_NE(layer.info.find(" + "), std::string::npos) << layer.name;
+    if (!layer.is_reorder && !layer.is_opaque && layer.labels->truth_nodes.size() > 1) {
+      EXPECT_NE(layer.labels->info.find(" + "), std::string::npos) << layer.name;
     }
   }
 }
@@ -145,7 +145,7 @@ TEST(OvSim, ExposesOriginalLayersNames) {
       BackendRegistry::instance().get("ov_sim").build(model, config, a100());
   for (const BackendLayer& layer : engine.layers()) {
     if (!layer.is_reorder) {
-      EXPECT_FALSE(layer.info.empty()) << layer.name;
+      EXPECT_FALSE(layer.labels->info.empty()) << layer.name;
     }
   }
 }
@@ -160,16 +160,16 @@ TEST(OrtSim, InsertsRenamingReorders) {
   for (const BackendLayer& layer : engine.layers()) {
     if (layer.is_reorder) {
       found_reorder = true;
-      ASSERT_EQ(layer.input_tensors.size(), 1u);
-      ASSERT_EQ(layer.output_tensors.size(), 1u);
-      EXPECT_NE(layer.input_tensors[0], layer.output_tensors[0]);
+      ASSERT_EQ(layer.labels->input_tensors.size(), 1u);
+      ASSERT_EQ(layer.labels->output_tensors.size(), 1u);
+      EXPECT_NE(layer.labels->input_tensors[0], layer.labels->output_tensors[0]);
     }
   }
   EXPECT_TRUE(found_reorder);
   // Fused conv layers expose no name info (Figure 2's fused_op_N situation).
   for (const BackendLayer& layer : engine.layers()) {
-    if (!layer.is_reorder && layer.truth_nodes.size() > 1) {
-      EXPECT_TRUE(layer.info.empty());
+    if (!layer.is_reorder && layer.labels->truth_nodes.size() > 1) {
+      EXPECT_TRUE(layer.labels->info.empty());
       EXPECT_NE(layer.name.find("fused_op_"), std::string::npos);
     }
   }

@@ -22,7 +22,7 @@ Node make_node(const std::string& name, const std::string& type,
 Graph diamond() {
   // in -> a -> {b, c} -> d -> out
   Graph g("diamond");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
   g.add_input("in");
   g.add_node(make_node("a", "Relu", {"in"}, {"ta"}));
   g.add_node(make_node("b", "Relu", {"ta"}, {"tb"}));
@@ -66,7 +66,7 @@ TEST(Graph, TopoOrderRespectsDependencies) {
 
 TEST(Graph, CycleDetection) {
   Graph g("cyclic");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
   g.add_input("in");
   g.add_node(make_node("a", "Add", {"in", "tb"}, {"ta"}));
   g.add_node(make_node("b", "Relu", {"ta"}, {"tb"}));
@@ -76,7 +76,7 @@ TEST(Graph, CycleDetection) {
 
 TEST(Graph, DuplicateNodeNameRejected) {
   Graph g("dup");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
   g.add_input("in");
   g.add_node(make_node("a", "Relu", {"in"}, {"t1"}));
   g.add_node(make_node("a", "Relu", {"t1"}, {"t2"}));
@@ -86,7 +86,7 @@ TEST(Graph, DuplicateNodeNameRejected) {
 
 TEST(Graph, ValidateCatchesUndeclaredInput) {
   Graph g("bad");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
   g.add_input("in");
   g.add_node(make_node("a", "Add", {"in", "ghost"}, {"t"}));
   g.add_output("t");
@@ -95,7 +95,7 @@ TEST(Graph, ValidateCatchesUndeclaredInput) {
 
 TEST(Graph, ValidateCatchesOrphanOutput) {
   Graph g("bad");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1}, .is_param = false});
   g.add_input("in");
   g.add_node(make_node("a", "Relu", {"in"}, {"t"}));
   g.add_output("nonexistent");
@@ -131,7 +131,7 @@ TEST(Graph, SubgraphByIoFailsWhenBoundaryIncomplete) {
 
 TEST(Graph, SubgraphByIoStopsAtParams) {
   Graph g("with_params");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
   g.add_input("in");
   g.add_param("w", DType::kF32, Shape{4});
   g.add_node(make_node("m", "Mul", {"in", "w"}, {"t"}));
@@ -143,7 +143,7 @@ TEST(Graph, SubgraphByIoStopsAtParams) {
 
 TEST(Graph, BoundaryComputesInsOutsParams) {
   Graph g("b");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
   g.add_input("in");
   g.add_param("w", DType::kF32, Shape{4});
   const NodeId n1 = g.add_node(make_node("m", "Mul", {"in", "w"}, {"t1"}));

@@ -47,7 +47,7 @@ Node make_node(const std::string& name, const std::string& type,
 Graph chain3() {
   // in -> a -> b -> c -> out
   Graph g("chain3");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{4}});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{4}});
   g.add_input("in");
   g.add_node(make_node("a", "Relu", {"in"}, {"ta"}));
   g.add_node(make_node("b", "Relu", {"ta"}, {"tb"}));
@@ -159,7 +159,7 @@ TEST(GraphIndex, SetTensorDoesNotInvalidateStructure) {
   Graph g = chain3();
   (void)g.topo_order();
   const uint64_t gen = g.index_generation();
-  g.set_tensor({.name = "ta", .dtype = DType::kF16, .shape = Shape{4}});
+  g.set_tensor("ta", {.dtype = DType::kF16, .shape = Shape{4}});
   EXPECT_EQ(g.index_generation(), gen);  // desc-only change, structure intact
   EXPECT_EQ(g.tensor("ta").dtype, DType::kF16);
 }
@@ -176,7 +176,7 @@ TEST(GraphIndex, CopyResetsInternerButPreservesLookups) {
 
 TEST(GraphIndex, DuplicateNodeNameSurfacesOnQuery) {
   Graph g("dup");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{1}});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{1}});
   g.add_input("in");
   g.add_node(make_node("same", "Relu", {"in"}, {"t0"}));
   g.add_node(make_node("same", "Relu", {"t0"}, {"t1"}));
@@ -189,7 +189,7 @@ TEST(GraphIndex, DuplicateNodeNameSurfacesOnQuery) {
 // linear scan over g.nodes() / g.tensors() / g.outputs(), with no interning
 // and no cached state.
 
-NodeId oracle_producer(const Graph& g, const std::string& tensor) {
+NodeId oracle_producer(const Graph& g, std::string_view tensor) {
   NodeId producer = kInvalidNode;  // last node listing it as an output wins
   for (size_t i = 0; i < g.num_nodes(); ++i) {
     const auto& outs = g.nodes()[i].outputs;
@@ -200,7 +200,7 @@ NodeId oracle_producer(const Graph& g, const std::string& tensor) {
   return producer;
 }
 
-std::vector<NodeId> oracle_consumers(const Graph& g, const std::string& tensor) {
+std::vector<NodeId> oracle_consumers(const Graph& g, std::string_view tensor) {
   std::vector<NodeId> consumers;  // node order, one entry per use
   for (size_t i = 0; i < g.num_nodes(); ++i) {
     for (const std::string& in : g.nodes()[i].inputs) {
@@ -221,9 +221,13 @@ NodeId oracle_find_node(const Graph& g, const std::string& name) {
   return kInvalidNode;
 }
 
-bool oracle_is_param(const Graph& g, const std::string& tensor) {
-  const auto it = g.tensors().find(tensor);
-  return it != g.tensors().end() && it->second.is_param;
+bool oracle_is_param(const Graph& g, std::string_view tensor) {
+  for (const auto& [name, desc] : g.tensors()) {
+    if (name == tensor) {
+      return desc.is_param;
+    }
+  }
+  return false;
 }
 
 /// FIFO Kahn order, ready queue seeded in node-index order.
@@ -414,7 +418,7 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
   std::mt19937 rng(20260806);
   for (int round = 0; round < 8; ++round) {
     Graph g("fuzz_" + std::to_string(round));
-    g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{8}});
+    g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{8}});
     g.add_input("in");
     g.add_param("w", DType::kF32, Shape{8});
     std::vector<std::string> tensors = {"in", "w"};
@@ -442,8 +446,7 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
         }
       } else if (action < 8) {
         // Update a tensor desc in place (no structural change).
-        g.set_tensor({.name = tensors[rng() % tensors.size()],
-                      .dtype = DType::kF16,
+        g.set_tensor(tensors[rng() % tensors.size()], {.dtype = DType::kF16,
                       .shape = Shape{8}});
       } else {
         // Rename a random node through the mutable accessor.
@@ -463,16 +466,7 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
 
 // --- id-resolved op contexts ----------------------------------------------------
 
-std::vector<std::string> zoo_and_extra_models() {
-  std::vector<std::string> ids;
-  for (const models::ModelSpec& spec : models::model_zoo()) {
-    ids.push_back(spec.id);
-  }
-  for (const char* extra : {"bert_base", "gpt2_decode", "llama7b_prefill"}) {
-    ids.emplace_back(extra);
-  }
-  return ids;
-}
+using testing::zoo_and_extra_models;
 
 TEST(OpContextIds, EveryZooModelResolvesByIdToTheNamedDescriptor) {
   for (const std::string& id : zoo_and_extra_models()) {
@@ -574,6 +568,106 @@ TEST(GraphCow, CloneSharesNodesUntilFirstWrite) {
   skeleton.mutable_node(0).op_type = "Identity";
   EXPECT_EQ(copy.node(0).op_type, first.op_type);
   EXPECT_EQ(grown.node(0).op_type, first.op_type);
+}
+
+TEST(GraphCow, CloneSharesIndexAndNamesUntilAStructuralWrite) {
+  Graph skeleton = models::build_model("gpt2_decode");
+  skeleton.warm_indices();
+  const TensorId in0 = skeleton.tensor_id(skeleton.inputs()[0]);
+  const std::vector<NodeId> topo = skeleton.topo_order();
+  const uint64_t generation = skeleton.index_generation();
+
+  Graph clone = skeleton.clone_warm();
+  // One index (the cached topo order and CSR adjacency are the same
+  // objects) and one name table (a name is the same string).
+  EXPECT_EQ(&clone.topo_order(), &skeleton.topo_order());
+  EXPECT_EQ(clone.consumers(in0).data(), skeleton.consumers(in0).data());
+  EXPECT_EQ(clone.tensor_name(in0).data(), skeleton.tensor_name(in0).data());
+  // Shape inference and attr writes keep both shared.
+  set_batch_size(clone, 8);
+  clone.mutable_nodes()[0].attrs.set("marker", int64_t{1});
+  EXPECT_EQ(&clone.topo_order(), &skeleton.topo_order());
+  EXPECT_EQ(clone.tensor_name(in0).data(), skeleton.tensor_name(in0).data());
+
+  // A structural write moves the writer onto its own index and, for a new
+  // name, its own name table; the other graph sees none of it.
+  const std::string first_out = skeleton.node(0).outputs[0];
+  clone.add_node(make_node("extra", "Relu", {first_out}, {"extra_out"}));
+  EXPECT_NE(&clone.topo_order(), &skeleton.topo_order());
+  EXPECT_NE(clone.tensor_name(in0).data(), skeleton.tensor_name(in0).data());
+  EXPECT_EQ(clone.tensor_name(in0), skeleton.tensor_name(in0));
+  EXPECT_EQ(clone.find_node("extra"), static_cast<NodeId>(clone.num_nodes() - 1));
+  EXPECT_TRUE(clone.has_tensor("extra_out"));
+  EXPECT_EQ(skeleton.topo_order(), topo);
+  EXPECT_EQ(skeleton.index_generation(), generation);
+  EXPECT_EQ(skeleton.find_node("extra"), kInvalidNode);
+  EXPECT_EQ(skeleton.tensor_id("extra_out"), kInvalidTensor);
+  EXPECT_EQ(skeleton.tensors().size() + 1, clone.tensors().size());
+
+  // mutable_node() renames on a private index too.
+  Graph renamed = skeleton.clone_warm();
+  renamed.mutable_node(0).name = "renamed";
+  EXPECT_EQ(renamed.find_node("renamed"), 0);
+  EXPECT_EQ(skeleton.find_node("renamed"), kInvalidNode);
+  EXPECT_EQ(skeleton.find_node(skeleton.node(0).name), 0);
+
+  // Declaring a tensor is not structural: the writer keeps a valid edge
+  // index (no rebuild) and only its tensor order changes.
+  Graph declared = skeleton.clone_warm();
+  declared.set_tensor("fresh", {.dtype = DType::kF32, .shape = Shape{2}});
+  EXPECT_TRUE(declared.edge_index_current());
+  EXPECT_EQ(declared.topo_order(), topo);
+  EXPECT_EQ(declared.tensors().size(), skeleton.tensors().size() + 1);
+  EXPECT_FALSE(skeleton.has_tensor("fresh"));
+}
+
+TEST(GraphCow, CloneDescriptorsAreItsOwnByIdAndByName) {
+  Graph skeleton = models::build_model("gpt2_decode");
+  skeleton.warm_indices();
+  Graph clone = skeleton.clone_warm();
+  size_t n = 0;
+  for (const auto& [name, desc] : clone.tensors()) {
+    const TensorId id = clone.tensor_id(name);
+    ASSERT_EQ(id, skeleton.tensor_id(name)) << name;
+    EXPECT_EQ(&clone.tensor(name), &clone.tensor(id)) << name;
+    EXPECT_EQ(&desc, &clone.tensor(id)) << name;
+    EXPECT_NE(&clone.tensor(id), &skeleton.tensor(id)) << name;
+    ++n;
+  }
+  EXPECT_EQ(n, skeleton.tensors().size());
+  const std::string& input = skeleton.inputs()[0];
+  const Shape before = skeleton.tensor(input).shape;
+  clone.tensor(input).shape.set_dim(0, before.dim(0) + 7);
+  EXPECT_EQ(skeleton.tensor(input).shape, before);
+}
+
+TEST(GraphIndex, MovedFromGraphIsAValidEmptyGraph) {
+  Graph a = chain3();
+  const Graph b = std::move(a);
+  EXPECT_TRUE(b.has_tensor("in"));
+  EXPECT_EQ(a.num_nodes(), 0u);
+  EXPECT_EQ(a.tensors().size(), 0u);
+  EXPECT_FALSE(a.has_tensor("in"));
+  a.set_tensor("x", {.dtype = DType::kF32, .shape = Shape{2}});
+  a.add_node(make_node("r", "Relu", {"x"}, {"y"}));
+  EXPECT_EQ(a.tensors().size(), 2u);
+  EXPECT_EQ(a.tensor("x").shape, Shape{2});
+  EXPECT_EQ(a.producer("y"), 0);
+}
+
+TEST(GraphIndex, DescriptorReferencesSurviveTableGrowth) {
+  Graph g = chain3();
+  const TensorDesc& in = g.tensor("in");
+  const TensorDesc* by_id = &g.tensor(g.tensor_id("in"));
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    g.add_param(name, DType::kF16, Shape{i + 1});
+  }
+  EXPECT_EQ(&g.tensor("in"), &in);
+  EXPECT_EQ(by_id, &in);
+  EXPECT_EQ(in.shape, Shape{4});
+  EXPECT_EQ(g.tensor("p999").shape, Shape{1000});
 }
 
 TEST(GraphCow, SetBatchSizeWritesAttrsOnlyWhereTheyChange) {

@@ -28,7 +28,7 @@ std::vector<float> run_single(const Graph& g, const std::string& out,
 TEST(Reference, ConvHandComputed) {
   // 1x1x3x3 input, 1x1x2x2 kernel of ones, no padding, stride 1.
   Graph g("conv");
-  g.set_tensor({.name = "x", .dtype = DType::kF32, .shape = Shape{1, 1, 3, 3},
+  g.set_tensor("x", {.dtype = DType::kF32, .shape = Shape{1, 1, 3, 3},
                 .is_param = false});
   g.add_input("x");
   g.add_param("w", DType::kF32, Shape{1, 1, 2, 2});
@@ -42,7 +42,7 @@ TEST(Reference, ConvHandComputed) {
   n.attrs.set("dilations", std::vector<int64_t>{1, 1});
   n.attrs.set("group", static_cast<int64_t>(1));
   g.add_node(std::move(n));
-  g.set_tensor({.name = "y", .dtype = DType::kF32, .shape = Shape{1, 1, 2, 2},
+  g.set_tensor("y", {.dtype = DType::kF32, .shape = Shape{1, 1, 2, 2},
                 .is_param = false});
   g.add_output("y");
 

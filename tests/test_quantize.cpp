@@ -76,8 +76,8 @@ TEST(Quantize, BackendsFoldAllQdqNodes) {
                                                                     a100);
     for (const backends::BackendLayer& layer : engine.layers()) {
       // No standalone Q/DQ layers survive folding.
-      if (layer.truth_nodes.size() == 1) {
-        const std::string& only = layer.truth_nodes.front();
+      if (layer.labels->truth_nodes.size() == 1) {
+        const std::string& only = layer.labels->truth_nodes.front();
         EXPECT_EQ(only.find("_q"), std::string::npos)
             << backend_id << " left standalone QDQ layer " << layer.name;
       }

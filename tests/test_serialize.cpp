@@ -41,7 +41,7 @@ TEST(Serialize, SmallCnnRoundTrips) {
 
 TEST(Serialize, AttributeTypesRoundTrip) {
   Graph g("attrs");
-  g.set_tensor({.name = "in", .dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
+  g.set_tensor("in", {.dtype = DType::kF32, .shape = Shape{4}, .is_param = false});
   g.add_input("in");
   Node n;
   n.name = "n0";

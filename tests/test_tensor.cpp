@@ -2,6 +2,9 @@
 // Tensor storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/error.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/shape.hpp"
@@ -70,6 +73,104 @@ TEST(Shape, InsertEraseDims) {
   EXPECT_EQ(s, (Shape{2, 5, 3, 7}));
   s.erase_dim(1);
   EXPECT_EQ(s, (Shape{2, 3, 7}));
+}
+
+// Shape keeps up to Shape::kInlineRank extents inline and spills longer
+// shapes to the heap; every operation must behave the same on both sides of
+// that boundary and across it.
+TEST(ShapeStorage, RankZero) {
+  const Shape s;
+  EXPECT_EQ(s.rank(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.dims().empty());
+  EXPECT_EQ(s.numel(), 1);
+  EXPECT_EQ(s.to_string(), "[]");
+  EXPECT_EQ(s, Shape{});
+  EXPECT_EQ(s, Shape(std::vector<int64_t>{}));
+}
+
+TEST(ShapeStorage, AtAndPastInlineCapacity) {
+  for (const size_t rank : {Shape::kInlineRank, Shape::kInlineRank + 1,
+                            Shape::kInlineRank + 5}) {
+    std::vector<int64_t> dims(rank);
+    int64_t numel = 1;
+    for (size_t i = 0; i < rank; ++i) {
+      dims[i] = static_cast<int64_t>(i) + 2;
+      numel *= dims[i];
+    }
+    const Shape s(dims);
+    EXPECT_EQ(s.rank(), rank);
+    EXPECT_TRUE(std::ranges::equal(s.dims(), dims)) << s.to_string();
+    EXPECT_EQ(s.numel(), numel);
+    EXPECT_EQ(s.dim(-1), dims.back());
+
+    const Shape copy = s;
+    EXPECT_EQ(copy, s);
+    EXPECT_NE(copy.dims().data(), s.dims().data());
+    Shape moved_from = s;
+    const Shape moved = std::move(moved_from);
+    EXPECT_EQ(moved, s);
+    EXPECT_EQ(moved_from.rank(), 0u);
+    Shape assigned{1};
+    assigned = s;
+    EXPECT_EQ(assigned, s);
+    Shape move_assigned{1, 2};
+    move_assigned = Shape(dims);
+    EXPECT_EQ(move_assigned, s);
+
+    Shape changed = s;
+    changed.set_dim(static_cast<int>(rank) - 1, 99);
+    EXPECT_NE(changed, s);
+    EXPECT_EQ(changed.dim(-1), 99);
+    EXPECT_EQ(s.dim(-1), dims.back());
+  }
+}
+
+TEST(ShapeStorage, InsertEraseAndPushBackAcrossTheSpillBoundary) {
+  std::vector<int64_t> want;
+  Shape s;
+  for (size_t i = 0; i < Shape::kInlineRank + 3; ++i) {
+    s.push_back(static_cast<int64_t>(i) + 1);
+    want.push_back(static_cast<int64_t>(i) + 1);
+    ASSERT_TRUE(std::ranges::equal(s.dims(), want)) << s.to_string();
+  }
+  // Grow from exactly inline capacity into the spill with insert_dim...
+  Shape at_capacity(std::vector<int64_t>(Shape::kInlineRank, 3));
+  at_capacity.insert_dim(2, 7);
+  std::vector<int64_t> expected(Shape::kInlineRank, 3);
+  expected.insert(expected.begin() + 2, 7);
+  EXPECT_TRUE(std::ranges::equal(at_capacity.dims(), expected));
+  at_capacity.insert_dim(0, 5);
+  expected.insert(expected.begin(), 5);
+  EXPECT_TRUE(std::ranges::equal(at_capacity.dims(), expected));
+  // ...and shrink back inline with erase_dim; equality ignores where the
+  // extents live.
+  at_capacity.erase_dim(0);
+  at_capacity.erase_dim(2);
+  EXPECT_EQ(at_capacity, Shape(std::vector<int64_t>(Shape::kInlineRank, 3)));
+  at_capacity.set_dim(1, 4);
+  EXPECT_EQ(at_capacity.dim(1), 4);
+  EXPECT_EQ(at_capacity.rank(), Shape::kInlineRank);
+
+  Shape spilled(want);
+  spilled.erase_dim(-1);
+  spilled.erase_dim(-1);
+  spilled.erase_dim(-1);
+  std::vector<int64_t> prefix(want.begin(), want.begin() + Shape::kInlineRank);
+  EXPECT_EQ(spilled, Shape(prefix));
+  spilled.insert_dim(-1, 42);  // append
+  prefix.push_back(42);
+  EXPECT_EQ(spilled, Shape(prefix));
+}
+
+TEST(ShapeStorage, BroadcastPastInlineCapacity) {
+  std::vector<int64_t> a(Shape::kInlineRank + 2, 1);
+  a[0] = 3;
+  const Shape out = Shape::broadcast(Shape(a), Shape{4, 5});
+  std::vector<int64_t> want = a;
+  want[want.size() - 2] = 4;
+  want.back() = 5;
+  EXPECT_EQ(out, Shape(want));
 }
 
 struct BroadcastCase {

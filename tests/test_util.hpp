@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/graph.hpp"
 #include "models/builder.hpp"
+#include "models/zoo.hpp"
 
 namespace proof::testing {
 
@@ -72,5 +76,18 @@ inline ::testing::AssertionResult close_abs_rel(double a, double b,
   EXPECT_TRUE(::proof::testing::close_abs_rel((a), (b), (rel_tol), 1e-12))
 #define EXPECT_CLOSE_ABS(a, b, rel_tol, abs_tol) \
   EXPECT_TRUE(::proof::testing::close_abs_rel((a), (b), (rel_tol), (abs_tol)))
+
+/// The Table-3 zoo plus the extra models perfbench's cold-zoo workload
+/// profiles (an encoder, an LLM decode step, an LLM prefill).
+inline std::vector<std::string> zoo_and_extra_models() {
+  std::vector<std::string> ids;
+  for (const models::ModelSpec& spec : models::model_zoo()) {
+    ids.push_back(spec.id);
+  }
+  for (const char* extra : {"bert_base", "gpt2_decode", "llama7b_prefill"}) {
+    ids.emplace_back(extra);
+  }
+  return ids;
+}
 
 }  // namespace proof::testing
